@@ -48,7 +48,31 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.messages import Prepare
+from repro.sim.engine import Environment, Lock
 from repro.sim.rpc import CALL_FAILED
+
+
+def acquire_within(env: Environment, lock: Lock, owner: str, shared: bool,
+                   wait: float):
+    """Generator: acquire *lock* for *owner*, giving up after *wait*
+    simulated seconds; returns whether the lock is held.
+
+    The one lock wait of every replica stack.  A lock nobody holds in a
+    conflicting mode grants inside ``acquire()``; the wait is then the
+    grant event alone -- one queue entry, no timer that would outlive it
+    unheard.  Only a request that has to queue races a ``wait`` timer
+    and, losing, withdraws.
+    """
+    grant = lock.acquire(owner, shared=shared)
+    if grant.triggered:
+        yield grant
+    else:
+        yield env.any_of([grant, env.timeout(wait)])
+        if not grant.triggered:
+            lock.cancel(owner)
+            return False
+    # repro: allow[lock-discipline] True transfers custody to the caller by contract
+    return True
 
 
 class TwoPhaseParticipant:
@@ -100,17 +124,12 @@ class TwoPhaseParticipant:
 
     def _acquire(self, resource, owner: str, shared: bool = False,
                  wait: Optional[float] = None):
-        lock = self._lock(resource)
-        grant = lock.acquire(owner, shared=shared)
-        timer = self.env.timeout(self.config.lock_wait if wait is None
-                                 else wait)
-        yield self.env.any_of([grant, timer])
-        if grant.triggered:
-            # repro: allow[lock-discipline] True transfers custody to the caller by contract
-            return True
-        lock.cancel(owner)
-        self._after_release(resource)
-        return False
+        granted = yield from acquire_within(
+            self.env, self._lock(resource), owner, shared,
+            self.config.lock_wait if wait is None else wait)
+        if not granted:
+            self._after_release(resource)
+        return granted
 
     def _release_op(self, op_id: str) -> None:
         resources = self._op_locks.pop(op_id, ())

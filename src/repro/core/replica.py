@@ -41,6 +41,7 @@ from repro.core.messages import (
     ReplaceValue,
     StateResponse,
 )
+from repro.core.participant import acquire_within
 from repro.core.state import ReplicaState, initial_state
 from repro.obs.metrics import NULL_REGISTRY
 from repro.sim.node import Node
@@ -192,15 +193,9 @@ class ReplicaServer:
     def _acquire(self, owner: str, shared: bool = False,
                  wait: Optional[float] = None):
         """Generator: try to acquire the replica lock; returns bool."""
-        grant = self.lock.acquire(owner, shared=shared)
-        timer = self.env.timeout(wait if wait is not None
-                                 else self.config.lock_wait)
-        yield self.env.any_of([grant, timer])
-        if grant.triggered:
-            # repro: allow[lock-discipline] True transfers custody to the caller by contract
-            return True
-        self.lock.cancel(owner)
-        return False
+        return (yield from acquire_within(
+            self.env, self.lock, owner, shared,
+            self.config.lock_wait if wait is None else wait))
 
     def _release_op(self, op_id: str) -> None:
         self.lock.release(op_id)

@@ -36,7 +36,7 @@ from repro.core.replica import ReplicaServer
 from repro.coteries.base import CoterieRule
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry, NullRegistry
 from repro.coteries.grid import GridCoterie
-from repro.sim.engine import Environment, Process
+from repro.sim.engine import Environment, Process, SimulationStalled
 from repro.sim.failures import FailureInjector, FailureSchedule
 from repro.sim.network import LatencyModel, Network
 from repro.sim.node import Node
@@ -159,14 +159,14 @@ class ReplicatedStore:
             name="epoch-check")
 
     def join(self, *processes: Process, timeout: float = 120.0) -> list:
-        """Run the simulation until the given processes complete."""
-        deadline = self.env.now + timeout
-        while not all(p.triggered for p in processes):
-            if self.env.queue_size == 0 or self.env.now >= deadline:
-                raise StoreError(
-                    f"operations did not complete by t={self.env.now:.3f} "
-                    f"(queue={self.env.queue_size})")
-            self.env.step()
+        """Run the simulation until the given processes complete (and
+        not a queue entry further); :class:`StoreError` if they cannot,
+        or have not *timeout* simulated seconds from now."""
+        try:
+            self.env.run_until(processes, deadline=self.env.now + timeout)
+        except SimulationStalled as stalled:
+            raise StoreError(
+                f"operations did not complete: {stalled}") from stalled
         return [p.value for p in processes]
 
     # -- synchronous convenience API ------------------------------------------------

@@ -5,7 +5,7 @@ deterministic sim *and* on real asyncio sockets.  That refactor is only
 possible if everything outside :mod:`repro.sim` talks to the transport
 through its public surface -- the RPC layer, ``Environment.schedule``,
 ``Network.cut_link``/``restore_link`` -- and never reaches into
-underscore internals (``env._schedule_call``, ``network._deliver``,
+underscore internals (``env._schedule``, ``network._deliver``,
 ``network._endpoints``).  Every such reach is a coupling a future
 transport backend would have to re-implement bug-for-bug; this rule
 makes the boundary mechanical instead of aspirational.

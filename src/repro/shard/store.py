@@ -113,12 +113,10 @@ class ShardedStore:
         return up[0]
 
     def join(self, *processes: Process, timeout: float = 120.0) -> list:
-        """Run the simulation until the given processes complete."""
-        deadline = self.env.now + timeout
-        while not all(p.triggered for p in processes):
-            if self.env.queue_size == 0 or self.env.now >= deadline:
-                raise RuntimeError("operations did not complete")
-            self.env.step()
+        """Run the simulation until the given processes complete (and
+        not a queue entry further); ``SimulationStalled`` if they
+        cannot, or have not *timeout* simulated seconds from now."""
+        self.env.run_until(processes, deadline=self.env.now + timeout)
         return [p.value for p in processes]
 
     # -- keyed operations ------------------------------------------------------

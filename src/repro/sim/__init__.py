@@ -27,6 +27,7 @@ from repro.sim.engine import (
     Lock,
     Process,
     SimulationError,
+    SimulationStalled,
     Timeout,
 )
 from repro.sim.network import Message, Network, PartitionManager
@@ -59,6 +60,7 @@ __all__ = [
     "Process",
     "RpcLayer",
     "SimulationError",
+    "SimulationStalled",
     "Timeout",
     "TraceLog",
     "ZoneFailureInjector",

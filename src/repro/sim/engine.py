@@ -24,12 +24,18 @@ Example
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 
 class SimulationError(Exception):
     """Raised for misuse of the simulation kernel."""
+
+
+class SimulationStalled(SimulationError):
+    """Raised by :meth:`Environment.run_until` when the events it waits
+    for cannot trigger (the queue drained) or have not by its deadline."""
 
 
 class Interrupt(Exception):
@@ -83,22 +89,24 @@ class Event:
     # -- triggering ---------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully, delivering *value* to waiters."""
-        if self.triggered:
+        if self._ok is not None:
             raise SimulationError("event already triggered")
         self._ok = True
         self._value = value
-        self.env._schedule_event(self)
+        env = self.env
+        env._sequence = sequence = env._sequence + 1
+        heappush(env._queue, (env.now, sequence, Event._dispatch, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with an exception to be raised in waiters."""
-        if self.triggered:
+        if self._ok is not None:
             raise SimulationError("event already triggered")
         if not isinstance(exception, BaseException):
             raise SimulationError("Event.fail() requires an exception")
         self._ok = False
         self._exception = exception
-        self.env._schedule_event(self)
+        self.env._schedule(Event._dispatch, self)
         return self
 
     # -- plumbing -----------------------------------------------------------
@@ -106,7 +114,7 @@ class Event:
         if self.callbacks is None:
             # Already fired and dispatched: run at the next tick so that the
             # caller still observes asynchronous semantics.
-            self.env._schedule_call(lambda: callback(self))
+            self.env._schedule(callback, self)
         else:
             self.callbacks.append(callback)
 
@@ -125,10 +133,10 @@ class Timeout(Event):
             raise SimulationError(f"negative timeout delay: {delay!r}")
         super().__init__(env)
         self._timeout_value = value
-        env._schedule_call(self._fire, delay=delay)
+        env._schedule(Timeout._fire, self, delay)
 
     def _fire(self) -> None:
-        if not self.triggered:
+        if self._ok is None:
             self._ok = True
             self._value = self._timeout_value
             self._dispatch()
@@ -211,7 +219,7 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         self._target: Optional[Event] = None
         self._interrupts: list[Interrupt] = []
-        env._schedule_call(self._resume_with)
+        env._schedule(self._resume_with, None)
 
     @property
     def is_alive(self) -> bool:
@@ -227,7 +235,7 @@ class Process(Event):
         if self.triggered:
             return
         self._interrupts.append(Interrupt(cause))
-        self.env._schedule_call(self._deliver_interrupt)
+        self.env._schedule(Process._deliver_interrupt, self)
 
     # -- stepping -----------------------------------------------------------
     def _deliver_interrupt(self) -> None:
@@ -242,22 +250,26 @@ class Process(Event):
                 target.callbacks.remove(self._resume_with)
             except ValueError:
                 pass
-        self._step(lambda: self._generator.throw(interrupt))
+        self._resume_with(None, interrupt)
 
-    def _resume_with(self, event: Optional[Event] = None) -> None:
-        if self.triggered:
+    def _resume_with(self, event: Optional[Event] = None,
+                     interrupt: Optional[Interrupt] = None) -> None:
+        """Advance the generator to its next wait: with the value (or
+        exception) of the *event* it waited on, with an *interrupt*
+        thrown in, or -- given neither -- from its start."""
+        if self._ok is not None:
             return
-        if event is None:
-            self._step(lambda: self._generator.send(None))
-        elif event.ok:
-            self._step(lambda: self._generator.send(event._value))
-        else:
-            exception = event._exception
-            self._step(lambda: self._generator.throw(exception))
-
-    def _step(self, advance: Callable[[], Any]) -> None:
+        generator = self._generator
         try:
-            target = advance()
+            if event is not None:
+                if event._ok:
+                    target = generator.send(event._value)
+                else:
+                    target = generator.throw(event._exception)
+            elif interrupt is None:
+                target = generator.send(None)
+            else:
+                target = generator.throw(interrupt)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -281,7 +293,11 @@ class Process(Event):
             self.env._record_crash(self, error)
             return
         self._target = target
-        target._add_callback(self._resume_with)
+        callbacks = target.callbacks
+        if callbacks is None:   # already dispatched: resume at the next tick
+            self.env._schedule(self._resume_with, target)
+        else:
+            callbacks.append(self._resume_with)
 
 
 class Lock:
@@ -305,7 +321,9 @@ class Lock:
         self.env = env
         self.name = name
         self._holders: dict[Any, str] = {}  # owner -> "shared" | "exclusive"
-        self._waiters: list[tuple[Any, str, Event]] = []
+        # mode of the current holders; meaningful only while there are any
+        self._exclusive = False
+        self._waiters: deque[tuple[Any, str, Event]] = deque()
 
     @property
     def locked(self) -> bool:
@@ -354,13 +372,13 @@ class Lock:
 
     def cancel(self, owner: Any) -> None:
         """Withdraw a pending (ungranted) acquire request of *owner*."""
-        self._waiters = [w for w in self._waiters if w[0] != owner]
+        self._waiters = deque(w for w in self._waiters if w[0] != owner)
         self._grant()
 
     def reset(self) -> None:
         """Forget all holders and waiters (used when a node crashes)."""
         self._holders.clear()
-        waiters, self._waiters = self._waiters, []
+        waiters, self._waiters = self._waiters, deque()
         for _owner, _mode, event in waiters:
             if not event.triggered:
                 event.fail(Interrupt("lock reset"))
@@ -368,19 +386,22 @@ class Lock:
     def _grant(self) -> None:
         # FIFO: grant the head while compatible.  A batch of shared
         # requests at the head is granted together.
-        while self._waiters:
-            owner, mode, event = self._waiters[0]
-            exclusive_held = "exclusive" in self._holders.values()
-            if mode == "exclusive":
-                if self._holders:
-                    break
-            else:  # shared
-                if exclusive_held:
-                    break
-            self._waiters.pop(0)
-            self._holders[owner] = mode
-            if not event.triggered:
+        waiters = self._waiters
+        holders = self._holders
+        while waiters:
+            owner, mode, event = waiters[0]
+            if holders and (self._exclusive or mode == "exclusive"):
+                break
+            waiters.popleft()
+            holders[owner] = mode
+            self._exclusive = mode == "exclusive"
+            if event._ok is None:
                 event.succeed(self)
+
+
+def _call(callback: Callable[[], None]) -> None:
+    """Queue entry of a callback that takes no argument."""
+    callback()
 
 
 class Environment:
@@ -388,7 +409,7 @@ class Environment:
 
     def __init__(self, start: float = 0.0):
         self.now = float(start)
-        self._queue: list[tuple[float, int, Any]] = []
+        self._queue: list[tuple[float, int, Callable[[Any], None], Any]] = []
         self._sequence = 0
         self._crashed: list[tuple[Process, BaseException]] = []
         #: Total queue entries processed.  Deterministic for a given
@@ -428,20 +449,19 @@ class Environment:
         The public face of the internal queue: harness code (the chaos
         runner arming fault events, the nemesis scheduling delayed
         recoveries) uses this instead of reaching into
-        ``_schedule_call``, keeping the transport internals swappable
+        ``_schedule``, keeping the transport internals swappable
         (ROADMAP item 3) -- the ``transport-boundary`` lint rule
         enforces exactly that.
         """
-        self._schedule_call(callback, delay=delay)
+        self._schedule(_call, callback, delay)
 
     # -- scheduling ---------------------------------------------------------
-    def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
-        self._sequence += 1
-        heapq.heappush(self._queue, (self.now + delay, self._sequence, event))
-
-    def _schedule_call(self, callback: Callable[[], None], delay: float = 0.0) -> None:
-        self._sequence += 1
-        heapq.heappush(self._queue, (self.now + delay, self._sequence, callback))
+    def _schedule(self, call: Callable[[Any], None], arg: Any,
+                  delay: float = 0.0) -> None:
+        """Queue ``call(arg)``: every entry is a function and its one
+        argument, so no scheduling site allocates a closure."""
+        self._sequence = sequence = self._sequence + 1
+        heappush(self._queue, (self.now + delay, sequence, call, arg))
 
     def _record_crash(self, process: Process, exc: BaseException) -> None:
         self._crashed.append((process, exc))
@@ -449,15 +469,15 @@ class Environment:
     # -- execution ----------------------------------------------------------
     def step(self) -> None:
         """Process a single queue entry."""
-        time, _seq, item = heapq.heappop(self._queue)
+        try:
+            time, _seq, call, arg = heappop(self._queue)
+        except IndexError:
+            raise SimulationError("step on an empty queue") from None
         if time < self.now:
             raise SimulationError("time went backwards")
         self.now = time
         self.events_processed += 1
-        if isinstance(item, Event):
-            item._dispatch()
-        else:
-            item()
+        call(arg)
         if self._crashed:
             process, exc = self._crashed[0]
             raise SimulationError(
@@ -477,6 +497,35 @@ class Environment:
         if until is not None and until > self.now:
             self.now = until
         return self.now
+
+    def run_until(self, events: Iterable[Event],
+                  deadline: Optional[float] = None) -> None:
+        """Step until every one of *events* has triggered, and not one
+        queue entry further.
+
+        Stopping at the exact entry matters for reproducibility: timers
+        nobody waits for any more sit in the queue seconds ahead, and a
+        driver that overruns completion drags the clock across however
+        many of them it happens to pop.  Raises :class:`SimulationStalled`
+        if the queue drains, or the clock reaches *deadline*, while an
+        event is still pending.
+        """
+        # Only the last pending event is looked at after a step; once it
+        # has triggered the one before it is, so a step costs one check
+        # however many events are waited for.
+        pending = [event for event in events if event._ok is None]
+        while pending:
+            if not self._queue:
+                raise SimulationStalled(
+                    f"queue drained with {len(pending)} awaited events "
+                    f"pending at t={self.now:.3f}")
+            if deadline is not None and self.now >= deadline:
+                raise SimulationStalled(
+                    f"{len(pending)} awaited events still pending at "
+                    f"t={self.now:.3f} (queue={len(self._queue)})")
+            self.step()
+            while pending and pending[-1]._ok is not None:
+                pending.pop()
 
     @property
     def queue_size(self) -> int:

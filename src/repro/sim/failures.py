@@ -255,7 +255,7 @@ class FailureSchedule:
         for time, action, label in self._actions:
             if time < self.env.now:
                 raise ValueError(f"action {label!r} scheduled in the past")
-            self.env._schedule_call(action, delay=time - self.env.now)
+            self.env.schedule(action, delay=time - self.env.now)
 
 
 def schedule_from_trace(trace, env: Environment, network: Network,

@@ -228,40 +228,43 @@ class Network:
     def send(self, src: NodeName, dst: NodeName, kind: str, payload: Any) -> int:
         """Send one message; returns its id.  Never blocks; never fails
         synchronously -- loss is only observable through missing replies."""
-        msg = Message(src, dst, kind, payload, msg_id=next(self._msg_ids))
+        msg_id = next(self._msg_ids)
+        msg = Message(src, dst, kind, payload, msg_id)
         size = message_size(payload)
         self.bytes_sent += size
         self.messages_sent += 1
-        self.trace.record(self.env.now, "send", src, dst=dst, msg_kind=kind,
-                          msg_id=msg.msg_id, bytes=size)
+        env = self.env
+        self.trace.record(env.now, "send", src, dst=dst, msg_kind=kind,
+                          msg_id=msg_id, bytes=size)
         delay = self.latency.sample(src, dst)
         if self.faults is None:
-            delays = (delay,)
-        else:
-            delays = self.faults.deliveries(msg, delay)
-            if not delays:
-                self._drop(msg, "fault-drop")
-                return msg.msg_id
+            env._schedule(self._deliver, msg, delay)
+            return msg_id
+        delays = self.faults.deliveries(msg, delay)
+        if not delays:
+            self._drop(msg, "fault-drop")
         for extra_delay in delays:
-            self.env._schedule_call(lambda: self._deliver(msg),
-                                    delay=extra_delay)
-        return msg.msg_id
+            env._schedule(self._deliver, msg, extra_delay)
+        return msg_id
 
     def _deliver(self, msg: Message) -> None:
-        deliver = self._endpoints.get(msg.dst)
-        if deliver is None or not self.node_is_up(msg.dst):
+        src, dst = msg.src, msg.dst
+        is_up = self._is_up
+        # an endpoint and its liveness predicate are registered together
+        deliver = self._endpoints.get(dst)
+        if deliver is None or not is_up[dst]():
             self._drop(msg, "dst-down")
             return
-        if self.drop_from_crashed and not self.node_is_up(msg.src):
+        if self.drop_from_crashed and not (src in is_up and is_up[src]()):
             self._drop(msg, "src-down")
             return
-        if not self.partitions.reachable(msg.src, msg.dst):
+        if not self.partitions.reachable(src, dst):
             self._drop(msg, "partitioned")
             return
-        if (msg.src, msg.dst) in self._cut_links:
+        if self._cut_links and (src, dst) in self._cut_links:
             self._drop(msg, "link-cut")
             return
-        self.trace.record(self.env.now, "deliver", msg.dst, src=msg.src,
+        self.trace.record(self.env.now, "deliver", dst, src=src,
                           msg_kind=msg.kind, msg_id=msg.msg_id)
         deliver(msg)
 

@@ -101,7 +101,12 @@ class Node:
     # -- processes --------------------------------------------------------------
     def spawn(self, generator: Generator, name: str = "") -> Process:
         """Run a process on this node; it dies if the node crashes."""
-        process = self.env.process(generator, name=f"{self.name}:{name}")
+        return self.spawn_as(generator, f"{self.name}:{name}")
+
+    def spawn_as(self, generator: Generator, full_name: str) -> Process:
+        """:meth:`spawn` with the process name given whole, for callers
+        that spawn per message and format ``"<node>:<label>"`` once."""
+        process = self.env.process(generator, name=full_name)
         self._processes.append(process)
         self._prune_processes()
         return process

@@ -198,6 +198,7 @@ class RpcLayer:
     LATE_CAPACITY = 256
 
     _IN_PROGRESS = object()   # sentinel: handler started, no response yet
+    _ABSENT = object()        # sentinel: request not in the cache
 
     def __init__(self, node: Node, default_timeout: float = 0.5,
                  metrics=None, adaptive: Optional[AdaptiveTimeouts] = None):
@@ -222,7 +223,8 @@ class RpcLayer:
         # expired req_id -> (dst, sent): a reply arriving for one of these
         # is late but still a liveness/latency signal (bounded LRU)
         self._late: OrderedDict[int, tuple[str, float]] = OrderedDict()
-        self._methods: dict[str, Callable[[str, Any], Any]] = {}
+        # method -> (handler, name of the process a generator handler runs as)
+        self._methods: dict[str, tuple[Callable[[str, Any], Any], str]] = {}
         # Optional hook fed every observed outcome of an *outgoing* call:
         # ``observer(dst, ok)`` with ok=False on timeout, True on response.
         # The replica servers plug their LivenessView in here; caller-side
@@ -268,7 +270,7 @@ class RpcLayer:
         self._link(dst)[0].inc()
         self.node.send(dst, self.REQUEST_KIND,
                        _Request(req_id, method, args, self.node.name))
-        self.env._schedule_call(lambda: self._expire(req_id), delay=deadline)
+        self.env._schedule(self._expire, req_id, deadline)
         return result
 
     def call_wave(self, requests: dict, timeout: Optional[float] = None,
@@ -307,21 +309,25 @@ class RpcLayer:
             return gathered
         wave = _Wave(gathered, len(requests))
         pending = self._pending
-        trace = self.node.trace
-        send = self.node.send
+        wave_req_ids = wave.req_ids
+        req_ids = self._req_ids
+        link_stats = self._link_stats
+        node = self.node
+        record = node.trace.record
+        send = node.network.send
+        kind = self.REQUEST_KIND
         now = self.env.now
-        name = self.node.name
+        name = node.name
         for dst, (method, args) in requests.items():
-            req_id = next(self._req_ids)
+            req_id = next(req_ids)
             pending[req_id] = (wave, dst, now)
-            wave.req_ids[req_id] = dst
-            trace.record(now, "rpc-call", name,
-                         method=method, dst=dst, req_id=req_id)
-            self._link(dst)[0].inc()
-            send(dst, self.REQUEST_KIND, _Request(req_id, method, args, name))
+            wave_req_ids[req_id] = dst
+            record(now, "rpc-call", name,
+                   method=method, dst=dst, req_id=req_id)
+            (link_stats.get(dst) or self._link(dst))[0].inc()
+            send(name, dst, kind, _Request(req_id, method, args, name))
         if deadlines is None and hedge is None and enough is None:
-            self.env._schedule_call(lambda: self._expire_wave(wave),
-                                    delay=deadline)
+            self.env._schedule(self._expire_wave, wave, deadline)
             return gathered
         wave.enough = enough
         wave.expiries = {
@@ -449,7 +455,7 @@ class RpcLayer:
         if not times:
             return
         delay = max(0.0, min(times) - self.env.now)
-        self.env._schedule_call(lambda: self._wave_tick(wave), delay=delay)
+        self.env._schedule(self._wave_tick, wave, delay)
 
     def _wave_tick(self, wave: _Wave) -> None:
         if not wave.req_ids:
@@ -602,13 +608,13 @@ class RpcLayer:
         """Register the handler for an RPC method."""
         if method in self._methods:
             raise ValueError(f"{self.node.name}: method {method!r} already served")
-        self._methods[method] = handler
+        self._methods[method] = (handler, f"{self.node.name}:rpc-{method}")
 
     def _on_request(self, msg) -> None:
         request: _Request = msg.payload
         key = (request.reply_to, request.req_id)
-        if key in self._served:
-            cached = self._served[key]
+        cached = self._served.get(key, self._ABSENT)
+        if cached is not self._ABSENT:
             self.node.trace.record(self.env.now, "rpc-duplicate",
                                    self.node.name, method=request.method,
                                    src=msg.src, req_id=request.req_id,
@@ -619,17 +625,21 @@ class RpcLayer:
                 # replay the recorded answer without re-running the handler
                 self._reply(request, cached)
             return
-        handler = self._methods.get(request.method)
-        if handler is None:
+        served = self._methods.get(request.method)
+        if served is None:
             self.node.trace.record(self.env.now, "rpc-no-method",
                                    self.node.name, method=request.method)
             return
-        self._remember(key, self._IN_PROGRESS)
+        handler, process_name = served
         result = handler(msg.src, request.args)
         if result is not None and hasattr(result, "send"):
-            self.node.spawn(self._respond_later(request, result),
-                            name=f"rpc-{request.method}")
+            # a duplicate delivered while the handler runs must find it
+            self._remember(key, self._IN_PROGRESS)
+            self.node.spawn_as(self._respond_later(request, result),
+                               process_name)
         else:
+            # nothing can be delivered while a plain handler runs, so its
+            # request goes into the cache answered
             self._remember(key, result)
             self._reply(request, result)
 
@@ -645,10 +655,11 @@ class RpcLayer:
         self._reply(request, value)
 
     def _reply(self, request: _Request, value: Any) -> None:
-        if not self.node.up:
+        node = self.node
+        if not node.up:
             return
-        self.node.send(request.reply_to, self.RESPONSE_KIND,
-                       _Response(request.req_id, value))
+        node.network.send(node.name, request.reply_to, self.RESPONSE_KIND,
+                          _Response(request.req_id, value))
 
     def _on_response(self, msg) -> None:
         response: _Response = msg.payload
@@ -668,14 +679,16 @@ class RpcLayer:
                                        req_id=response.req_id)
             return
         sink, dst, sent = entry
-        self._observe(dst, ok=True)
+        observer = self.liveness_observer
+        if observer is not None:
+            observer(dst, True)
         self._record_rtt(dst, self.env.now - sent)
         if isinstance(sink, _Wave):
             del sink.req_ids[response.req_id]
             sink.results[dst] = response.value
             if sink.expiries is None:
                 if (len(sink.results) == sink.total
-                        and not sink.event.triggered):
+                        and sink.event._ok is None):
                     sink.event.succeed(sink.results)
                 return
             sink.expiries.pop(response.req_id, None)

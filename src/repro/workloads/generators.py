@@ -269,16 +269,8 @@ def run_keyed_workload(store, workload: KeyedWorkload,
             client_body(client_id, home, share, rng),
             name=f"kclient{client_id}"))
     start = store.env.now
-    # check completion only every chunk of events: the all-clients scan
-    # is O(n_clients) and would otherwise dominate million-op runs
-    pending = list(processes)
-    while pending:
-        for _ in range(64):
-            if store.env.queue_size == 0:
-                break
-            store.env.step()
-        pending = [p for p in pending if not p.triggered]
-        if pending and store.env.queue_size == 0:
-            raise RuntimeError("workload stalled")
+    # stop at the entry that finishes the last client: the clock a phase
+    # ends on must not depend on what else happens to be queued
+    store.env.run_until(processes)
     stats.duration = store.env.now - start
     return stats

@@ -1,0 +1,95 @@
+"""Same seed, same program => the same run, entry for entry.
+
+The simulation kernel orders queue entries strictly by ``(time,
+sequence number)``; everything a run produces follows from that order.
+A kernel change may make entries cheaper or drop entries nobody hears,
+but must not move one that does something.  The two digests below were
+taken at the commit *before* the lean-transport change (PR 12) and hash
+the ordered ``(time, kind, node)`` trace plus every replica's final
+durable state; a kernel change that alters either has reordered a run.
+"""
+
+import hashlib
+import random
+
+from repro.core.store import ReplicatedStore
+from repro.shard.store import ShardedStore
+
+REPLICATED_DIGEST = (
+    "d83b85349a7e4c1f431fc6552357cdb32f5abe61557a7e57676c6bf62a78e355")
+SHARDED_DIGEST = (
+    "77b0647d806130ece779968f30f506d0cde0f6f1e42cbebe7e827f910fbadd00")
+
+
+def _digest(trace, states) -> str:
+    ordered = [(rec.time, rec.kind, rec.node) for rec in trace]
+    return hashlib.sha256(repr((ordered, states)).encode()).hexdigest()
+
+
+def replicated_run() -> str:
+    """Forty sequential operations on a 9-node grid through ``join()``,
+    with one node crashing a third of the way in and recovering at two
+    thirds, then an epoch check and some quiet time for propagation."""
+    store = ReplicatedStore.create(9, seed=23, trace_enabled=True)
+    rng = random.Random(23)
+    vias = store.node_names[:4]
+    for i in range(40):
+        if i == 13:
+            store.crash("n05")
+        if i == 27:
+            store.recover("n05")
+        via = vias[i % len(vias)]
+        if rng.random() < 0.5:
+            store.read(via=via)
+        else:
+            store.write({f"k{rng.randrange(6)}": i}, via=via)
+    store.check_epoch()
+    store.advance(5.0)
+    store.verify()
+    states = [(name, state.version, state.dversion, state.stale,
+               state.epoch_number, state.epoch_list,
+               sorted(state.value.items()), state.update_log)
+              for name, state in ((name, store.replica_state(name))
+                                  for name in store.node_names)]
+    return _digest(store.trace, states)
+
+
+def sharded_run() -> str:
+    """Sixty keyed operations on a small sharded store, each driven to
+    completion by ``join()``, two of them pipelined."""
+    store = ShardedStore.create(5, n_shards=8, replication=3, seed=31,
+                                trace_enabled=True, track_history=True)
+    rng = random.Random(31)
+    names = store.node_names
+    for i in range(60):
+        key = f"k{rng.randrange(12)}"
+        via = names[i % len(names)]
+        if rng.random() < 0.4:
+            store.write(key, {"v": i}, via=via)
+        elif i % 10 == 9:
+            store.join(store.start_read(key, via=via),
+                       store.start_write(f"k{rng.randrange(12)}",
+                                         {"v": -i}, via=names[0]))
+        else:
+            store.read(key, via=via)
+    store.advance(5.0)
+    store.verify()
+    states = []
+    for name in names:
+        stable = store.nodes[name].stable
+        for shard in sorted(stable["sh_items"]):
+            for key, item in sorted(stable["sh_items"][shard].items()):
+                states.append((name, shard, key, item.version, item.dversion,
+                               item.stale, sorted(item.value.items())))
+        states.append((name, sorted(
+            (shard, tuple(elist), enumber)
+            for shard, (elist, enumber) in stable["sh_epochs"].items())))
+    return _digest(store.trace, states)
+
+
+def test_replicated_store_run_is_unchanged():
+    assert replicated_run() == REPLICATED_DIGEST
+
+
+def test_sharded_store_run_is_unchanged():
+    assert sharded_run() == SHARDED_DIGEST

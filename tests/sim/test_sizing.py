@@ -1,10 +1,25 @@
 """Message size estimation and network byte accounting."""
 
-import pytest
+import collections
+import dataclasses
+import enum
+import inspect
+from typing import Any, NamedTuple
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.core.messages
+import repro.core.multistore
+import repro.shard.messages
+import repro.shard.sweep
+import repro.sim.rpc
+from repro.core.messages import BUSY
 from repro.sim.engine import Environment
 from repro.sim.network import LatencyModel, Network
 from repro.sim.node import Node
+from repro.sim.rpc import CALL_FAILED
 from repro.sim.sizing import ENVELOPE_BYTES, estimate_size, message_size
 from repro.sim.trace import TraceLog
 
@@ -83,3 +98,163 @@ class TestDeltaVsSnapshotBytes:
         object_size = 30 * 90
         assert second.stale  # someone was healed
         assert delta_bytes < object_size * len(store.node_names)
+
+
+# -- the dispatch table against the recursive definition ------------------------
+
+def reference_size(payload: Any) -> int:
+    """The model as first written: one recursive walk, one ``isinstance``
+    chain per value.  ``estimate_size`` must agree with it everywhere."""
+    if payload is None or isinstance(payload, (bool, int, float)):
+        return 8
+    if isinstance(payload, (str, bytes)):
+        return len(payload) + 2
+    if isinstance(payload, dict):
+        return 8 + sum(reference_size(k) + reference_size(v)
+                       for k, v in payload.items())
+    if isinstance(payload, (list, tuple, set, frozenset)):
+        return 8 + sum(reference_size(item) for item in payload)
+    if dataclasses.is_dataclass(payload) and not isinstance(payload, type):
+        return 8 + sum(
+            reference_size(getattr(payload, field.name))
+            for field in dataclasses.fields(payload))
+    return 32
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+
+
+class Label(str):
+    pass
+
+
+class Flag(int):
+    pass
+
+
+class Pair(NamedTuple):
+    left: Any
+    right: Any
+
+
+@dataclasses.dataclass
+class Empty:
+    pass
+
+
+@dataclasses.dataclass
+class One:
+    only: Any
+
+
+@dataclasses.dataclass(frozen=True)
+class Base:
+    a: Any
+    b: Any = 0
+
+
+@dataclasses.dataclass(frozen=True)
+class Derived(Base):
+    c: Any = None
+    kind: Any = dataclasses.field(default="derived", init=False)
+
+
+@dataclasses.dataclass
+class DictLike(dict):
+    """A dataclass that is also a dict is sized as the dict it is."""
+    extra: Any = 0
+
+
+def dict_like(items: dict) -> DictLike:
+    filled = DictLike()
+    filled.update(items)
+    return filled
+
+
+class Opaque:
+    pass
+
+
+MESSAGE_CLASSES = sorted(
+    {cls for module in (repro.core.messages, repro.core.multistore,
+                        repro.shard.messages, repro.shard.sweep,
+                        repro.sim.rpc)
+     for _name, cls in inspect.getmembers(module, inspect.isclass)
+     if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__},
+    key=lambda cls: (cls.__module__, cls.__name__))
+
+leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+    st.text(max_size=12), st.binary(max_size=12),
+    st.sampled_from([Colour.RED, Label("tag"), Flag(7), BUSY, CALL_FAILED,
+                     Opaque(), Empty(), Opaque, Base]))
+hashable_leaves = st.one_of(st.none(), st.booleans(), st.integers(),
+                            st.text(max_size=8), st.sampled_from(
+                                [Colour.RED, Label("tag"), Flag(7)]))
+
+
+def containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.sets(hashable_leaves, max_size=4),
+        st.frozensets(hashable_leaves, max_size=4),
+        st.dictionaries(hashable_leaves, children, max_size=4),
+        st.dictionaries(hashable_leaves, children, max_size=3).map(
+            collections.OrderedDict),
+        st.dictionaries(hashable_leaves, children, max_size=3).map(
+            dict_like),
+        st.tuples(children, children).map(lambda pair: Pair(*pair)),
+        children.map(One),
+        st.tuples(children, children).map(lambda pair: Base(*pair)),
+        st.tuples(children, children, children).map(
+            lambda three: Derived(*three)),
+        message_instances(children))
+
+
+def message_instances(children):
+    """One instance of a protocol message class, its fields filled with
+    arbitrary payloads (sizing never looks at declared types)."""
+    def build(cls):
+        names = [f.name for f in dataclasses.fields(cls) if f.init]
+        return st.tuples(*[children] * len(names)).map(
+            lambda values: cls(**dict(zip(names, values))))
+    return st.sampled_from(MESSAGE_CLASSES).flatmap(build)
+
+
+payloads = st.recursive(leaves, containers, max_leaves=20)
+
+
+class TestDispatchTableMatchesReference:
+    def test_the_modules_do_define_messages(self):
+        names = {cls.__name__ for cls in MESSAGE_CLASSES}
+        assert {"StateResponse", "Prepare", "PropagationData", "MiApplyWrite",
+                "ShApplyWrite", "_Request", "_Response"} <= names
+
+    @given(payloads)
+    @settings(max_examples=400, deadline=None)
+    def test_same_size_as_the_recursive_walk(self, payload):
+        assert estimate_size(payload) == reference_size(payload)
+
+    @given(st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_every_message_class(self, data):
+        for cls in MESSAGE_CLASSES:
+            names = [f.name for f in dataclasses.fields(cls) if f.init]
+            message = cls(**{name: data.draw(payloads) for name in names})
+            assert estimate_size(message) == reference_size(message)
+            assert message_size(message) == (ENVELOPE_BYTES
+                                             + reference_size(message))
+
+    def test_subclasses_follow_their_first_matching_base(self):
+        assert estimate_size(Colour.RED) == 8
+        assert estimate_size(Flag(3)) == 8
+        assert estimate_size(Label("abc")) == 5
+        assert estimate_size(Pair(1, "ab")) == 8 + 8 + 4
+        assert estimate_size(dict_like({"k": 1})) == 8 + 3 + 8
+        assert estimate_size(Empty()) == 8
+        assert estimate_size(One("ab")) == 8 + 4
+        assert estimate_size(Derived(1, 2, 3)) == 8 + 4 * 8 + 1
+        assert estimate_size(Opaque()) == 32
+        assert estimate_size(Base) == 32      # the class, not an instance

@@ -177,6 +177,34 @@ class TestKeyedWorkload:
 
         assert once() == once()
 
+    def test_stops_at_the_entry_that_finishes_the_last_client(self):
+        """The driver used to step in blind chunks of 64, so a phase
+        ended up to 63 queue entries late -- on whatever time the dead
+        timers it popped happened to carry."""
+        store = ShardedStore.create(5, n_shards=16, seed=9)
+        env = store.env
+        clients, steps, finished_at = [], [0], []
+        spawn, step = env.process, env.step
+
+        def watching_process(generator, name=""):
+            process = spawn(generator, name=name)
+            if name.startswith("kclient"):
+                clients.append(process)
+            return process
+
+        def counting_step():
+            step()
+            steps[0] += 1
+            if not finished_at and all(c.triggered for c in clients):
+                finished_at.append((steps[0], env.now))
+
+        env.process, env.step = watching_process, counting_step
+        stats = run_keyed_workload(
+            store, KeyedWorkload(n_ops=80, n_keys=500), seed=3)
+        assert stats.operations == 80 and len(clients) == 4
+        assert finished_at == [(steps[0], env.now)]
+        assert stats.duration == env.now
+
     def test_rehomes_when_home_crashes(self):
         store = ShardedStore.create(5, n_shards=16, seed=10,
                                     track_history=True)

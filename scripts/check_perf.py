@@ -75,9 +75,9 @@ METRICS_REPEATS = 7
 METRICS_MAX_OVERHEAD = 0.05
 # Queue entries per operation of the sharded smoke scale cell (seed 0).
 # The count repeats exactly for a seed, so the ceiling is the next
-# integer above it (20.07 after the uncontended lock wait became one
-# entry; 23.90 before): an entry added back to every operation trips it.
-SCALE_SMOKE_MAX_EVENTS_PER_OP = 21
+# integer above it (9.73 under the kernel's queue-entry rules; 20.07
+# before them): an entry added back to every operation trips it.
+SCALE_SMOKE_MAX_EVENTS_PER_OP = 10
 
 
 def check_engine() -> bool:

@@ -58,10 +58,10 @@ def acquire_within(env: Environment, lock: Lock, owner: str, shared: bool,
     simulated seconds; returns whether the lock is held.
 
     The one lock wait of every replica stack.  A lock nobody holds in a
-    conflicting mode grants inside ``acquire()``; the wait is then the
-    grant event alone -- one queue entry, no timer that would outlive it
-    unheard.  Only a request that has to queue races a ``wait`` timer
-    and, losing, withdraws.
+    conflicting mode grants inside ``acquire()``; the grant is then
+    already dispatched and ``yield grant`` hands it over at once -- no
+    queue entry, no timer that would outlive it unheard.  Only a request
+    that has to queue races a ``wait`` timer and, losing, withdraws.
     """
     grant = lock.acquire(owner, shared=shared)
     if grant.triggered:

@@ -7,6 +7,14 @@ event fires.  Determinism is guaranteed by a strict (time, sequence-number)
 ordering of scheduled events; two runs with the same seed and the same
 program produce identical traces.
 
+A queue entry is spent only where somebody can tell the difference: an
+event that succeeds unheard queues nothing, a process that yields an
+event already dispatched carries on at once (:func:`advance`), a
+deadline that is met is withdrawn (:meth:`Environment.timer`), and the
+last act of an entry may wake its waiters in place
+(:meth:`Event.succeed_in_place`).  docs/API.md, "Simulation kernel",
+has the rules and why each keeps the order of everything that remains.
+
 Example
 -------
 >>> env = Environment()
@@ -25,7 +33,7 @@ Example
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 
@@ -88,15 +96,39 @@ class Event:
 
     # -- triggering ---------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
-        """Trigger the event successfully, delivering *value* to waiters."""
+        """Trigger the event successfully, delivering *value* to waiters.
+
+        Waiters are told from a queue entry of their own.  With nobody
+        waiting there is nobody to tell: the event counts as dispatched
+        at once and nothing is queued.
+        """
         if self._ok is not None:
             raise SimulationError("event already triggered")
         self._ok = True
         self._value = value
-        env = self.env
-        env._sequence = sequence = env._sequence + 1
-        heappush(env._queue, (env.now, sequence, Event._dispatch, self))
+        if self.callbacks:
+            env = self.env
+            env._sequence = sequence = env._sequence + 1
+            heappush(env._queue, (env.now, sequence, Event._dispatch, self))
+        else:
+            self.callbacks = None
         return self
+
+    def succeed_in_place(self, value: Any = None) -> None:
+        """Trigger the event and tell its waiters inside the running
+        queue entry, instead of from an entry of their own.
+
+        Legal only as the **last act** of a queue entry.  The entry
+        :meth:`succeed` would queue is then the next one popped -- unless
+        the running entry queued something else for this instant -- and
+        the waiters run exactly where they would have; anything the
+        caller did after this call would wrongly run behind them.
+        """
+        if self._ok is not None:
+            raise SimulationError("event already triggered")
+        self._ok = True
+        self._value = value
+        self._dispatch()
 
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with an exception to be raised in waiters."""
@@ -203,15 +235,47 @@ class AnyOf(_Condition):
             self.succeed(self._results())
 
 
+def advance(generator: Generator, value: Any = None,
+            exception: Optional[BaseException] = None) -> Any:
+    """Run a process body to its next real wait and return what it
+    yielded there.
+
+    Sends *value* in (or throws *exception*), and keeps going through
+    every yielded event that has already been dispatched successfully:
+    its value is known and nobody has to be woken, so the body is sent
+    it at once, inside the running queue entry.  An event still pending,
+    one whose waiters are yet to be told, or one that failed is a real
+    wait.  ``StopIteration`` (the body returned) and whatever the body
+    raises propagate.
+    """
+    if exception is None:
+        target = generator.send(value)
+    else:
+        target = generator.throw(exception)
+    while (isinstance(target, Event) and target.callbacks is None
+           and target._ok):
+        target = generator.send(target._value)
+    return target
+
+
+_FROM_START = object()      # Process(parked_on=...): not parked anywhere
+
+
 class Process(Event):
     """A running process.  Also an event that fires when the process ends.
 
     The wrapped generator yields :class:`Event` instances.  When a yielded
     event succeeds, the generator resumes with the event's value; when it
     fails, the exception is thrown into the generator.
+
+    A process normally starts from a queue entry of its own.  Given
+    *parked_on* -- what :func:`advance` returned for a body the caller
+    has already run to its first real wait -- it starts out waiting
+    there and costs no entry.
     """
 
-    def __init__(self, env: "Environment", generator: Generator, name: str = ""):
+    def __init__(self, env: "Environment", generator: Generator,
+                 name: str = "", parked_on: Any = _FROM_START):
         super().__init__(env)
         if not hasattr(generator, "send"):
             raise SimulationError(f"process body must be a generator: {generator!r}")
@@ -219,7 +283,10 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         self._target: Optional[Event] = None
         self._interrupts: list[Interrupt] = []
-        env._schedule(self._resume_with, None)
+        if parked_on is _FROM_START:
+            env._schedule(self._resume_with, None)
+        else:
+            self._wait_for(parked_on)
 
     @property
     def is_alive(self) -> bool:
@@ -259,45 +326,43 @@ class Process(Event):
         thrown in, or -- given neither -- from its start."""
         if self._ok is not None:
             return
-        generator = self._generator
         try:
-            if event is not None:
-                if event._ok:
-                    target = generator.send(event._value)
-                else:
-                    target = generator.throw(event._exception)
-            elif interrupt is None:
-                target = generator.send(None)
+            if event is None:
+                target = advance(self._generator, None, interrupt)
+            elif event._ok:
+                target = advance(self._generator, event._value)
             else:
-                target = generator.throw(interrupt)
+                target = advance(self._generator, None, event._exception)
         except StopIteration as stop:
             self.succeed(stop.value)
-            return
         except Interrupt:
             # An unhandled interrupt terminates the process quietly; this is
             # the normal fate of handlers on a crashing node.
             self.succeed(None)
-            return
         except BaseException as exc:  # propagate real bugs to env.run()
-            self.fail(exc)
-            self.env._record_crash(self, exc)
-            return
-        if not isinstance(target, Event):
-            error = SimulationError(f"process {self.name!r} yielded {target!r}")
-            self.fail(error)
-            self.env._record_crash(self, error)
-            return
-        if target is self:
-            error = SimulationError(f"process {self.name!r} waits on itself")
-            self.fail(error)
-            self.env._record_crash(self, error)
-            return
-        self._target = target
-        callbacks = target.callbacks
-        if callbacks is None:   # already dispatched: resume at the next tick
-            self.env._schedule(self._resume_with, target)
+            self._die(exc)
         else:
-            callbacks.append(self._resume_with)
+            self._wait_for(target)
+
+    def _wait_for(self, target: Any) -> None:
+        """Park on what the generator yielded."""
+        if not isinstance(target, Event):
+            self._die(SimulationError(
+                f"process {self.name!r} yielded {target!r}"))
+        elif target is self:
+            self._die(SimulationError(
+                f"process {self.name!r} waits on itself"))
+        else:
+            self._target = target
+            callbacks = target.callbacks
+            if callbacks is None:   # dispatched failure: thrown in next tick
+                self.env._schedule(self._resume_with, target)
+            else:
+                callbacks.append(self._resume_with)
+
+    def _die(self, exc: BaseException) -> None:
+        self.fail(exc)
+        self.env._record_crash(self.name, exc)
 
 
 class Lock:
@@ -372,8 +437,10 @@ class Lock:
 
     def cancel(self, owner: Any) -> None:
         """Withdraw a pending (ungranted) acquire request of *owner*."""
-        self._waiters = deque(w for w in self._waiters if w[0] != owner)
-        self._grant()
+        kept = [w for w in self._waiters if w[0] != owner]
+        if len(kept) != len(self._waiters):
+            self._waiters = deque(kept)
+            self._grant()
 
     def reset(self) -> None:
         """Forget all holders and waiters (used when a node crashes)."""
@@ -404,6 +471,38 @@ def _call(callback: Callable[[], None]) -> None:
     callback()
 
 
+class Timer:
+    """Handle of a queue entry that can be withdrawn
+    (:meth:`Environment.timer`)."""
+
+    __slots__ = ("_env", "_call", "_arg")
+
+    def __init__(self, env: "Environment", call: Callable[[Any], None],
+                 arg: Any):
+        self._env = env
+        self._call: Optional[Callable[[Any], None]] = call
+        self._arg = arg
+
+    def cancel(self) -> None:
+        """Withdraw the entry: it is never run, never moves the clock and
+        is not counted.  A no-op once it has run or been cancelled."""
+        if self._call is not None:
+            self._call = self._arg = None
+            env = self._env
+            env._cancelled += 1
+            queue = env._queue
+            if queue[0][3] is self or 2 * env._cancelled > len(queue):
+                env._purge_cancelled()
+
+    def _fire(self) -> None:
+        call, arg = self._call, self._arg
+        self._call = self._arg = None
+        call(arg)
+
+
+_FIRE = Timer._fire
+
+
 class Environment:
     """The simulation clock and event queue."""
 
@@ -411,7 +510,10 @@ class Environment:
         self.now = float(start)
         self._queue: list[tuple[float, int, Callable[[Any], None], Any]] = []
         self._sequence = 0
-        self._crashed: list[tuple[Process, BaseException]] = []
+        #: Cancelled timers still in the queue.  None of them is ever at
+        #: its head, so the head's time is that of the next entry to run.
+        self._cancelled = 0
+        self._crashed: list[tuple[str, BaseException]] = []
         #: Total queue entries processed.  Deterministic for a given
         #: seed and program, so benchmarks can report simulation cost
         #: per operation without wall-clock noise.
@@ -455,6 +557,14 @@ class Environment:
         """
         self._schedule(_call, callback, delay)
 
+    def timer(self, delay: float, call: Callable[[Any], None],
+              arg: Any = None) -> Timer:
+        """Queue ``call(arg)`` after *delay* and return the handle that
+        withdraws it -- for deadlines, which mostly never come due."""
+        handle = Timer(self, call, arg)
+        self._schedule(_FIRE, handle, delay)
+        return handle
+
     # -- scheduling ---------------------------------------------------------
     def _schedule(self, call: Callable[[Any], None], arg: Any,
                   delay: float = 0.0) -> None:
@@ -463,8 +573,30 @@ class Environment:
         self._sequence = sequence = self._sequence + 1
         heappush(self._queue, (self.now + delay, sequence, call, arg))
 
-    def _record_crash(self, process: Process, exc: BaseException) -> None:
-        self._crashed.append((process, exc))
+    def _purge_cancelled(self) -> None:
+        """Drop cancelled timers: those at the head of the queue, or --
+        once they are more than half of it -- all of them, and rebuild
+        the heap.  ``(time, seq)`` is unique, so live entries pop in the
+        order they would have; and when this happens depends on the
+        queue alone, so entry counts stay a function of the seed."""
+        queue = self._queue
+        if 2 * self._cancelled > len(queue):
+            queue[:] = [entry for entry in queue
+                        if entry[2] is not _FIRE or entry[3]._call is not None]
+            heapify(queue)
+            self._cancelled = 0
+            return
+        while self._cancelled:
+            head = queue[0]
+            if head[2] is not _FIRE or head[3]._call is not None:
+                break
+            heappop(queue)
+            self._cancelled -= 1
+
+    def _record_crash(self, name: str, exc: BaseException) -> None:
+        """A process body (or an RPC handler run inline) called *name*
+        raised: the running :meth:`step` re-raises it."""
+        self._crashed.append((name, exc))
 
     # -- execution ----------------------------------------------------------
     def step(self) -> None:
@@ -477,12 +609,14 @@ class Environment:
             raise SimulationError("time went backwards")
         self.now = time
         self.events_processed += 1
+        if self._cancelled:     # then the queue is not empty
+            head = self._queue[0]
+            if head[2] is _FIRE and head[3]._call is None:
+                self._purge_cancelled()
         call(arg)
         if self._crashed:
-            process, exc = self._crashed[0]
-            raise SimulationError(
-                f"process {process.name!r} died: {exc!r}"
-            ) from exc
+            name, exc = self._crashed[0]
+            raise SimulationError(f"process {name!r} died: {exc!r}") from exc
 
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queue drains or the clock passes *until*.
@@ -529,5 +663,6 @@ class Environment:
 
     @property
     def queue_size(self) -> int:
-        """Number of scheduled-but-unprocessed queue entries."""
-        return len(self._queue)
+        """Number of scheduled-but-unprocessed queue entries (cancelled
+        timers not counted)."""
+        return len(self._queue) - self._cancelled

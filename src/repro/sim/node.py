@@ -106,7 +106,16 @@ class Node:
     def spawn_as(self, generator: Generator, full_name: str) -> Process:
         """:meth:`spawn` with the process name given whole, for callers
         that spawn per message and format ``"<node>:<label>"`` once."""
-        process = self.env.process(generator, name=full_name)
+        return self._adopt(self.env.process(generator, name=full_name))
+
+    def spawn_parked(self, generator: Generator, full_name: str,
+                     target: Any) -> Process:
+        """:meth:`spawn_as` for a body already run to its first real
+        wait, *target* (:func:`~repro.sim.engine.advance`): the process
+        starts out waiting there, without a queue entry to start it."""
+        return self._adopt(Process(self.env, generator, full_name, target))
+
+    def _adopt(self, process: Process) -> Process:
         self._processes.append(process)
         self._prune_processes()
         return process

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Optional
 
 from repro.obs.metrics import NULL_REGISTRY
-from repro.sim.engine import Environment, Event
+from repro.sim.engine import Environment, Event, Timer, advance
 from repro.sim.node import Node
 
 
@@ -132,6 +132,16 @@ class HedgePolicy:
     limit: int = 2
 
 
+class _Call:
+    """One single call: its result event and its deadline timer."""
+
+    __slots__ = ("event", "timer")
+
+    def __init__(self, event: Event, timer: Timer):
+        self.event = event
+        self.timer = timer
+
+
 class _Wave:
     """One batched fan-out: N calls sharing a single deadline timer and a
     single completion event (vs. N per-call timers plus an AllOf).
@@ -142,12 +152,13 @@ class _Wave:
     simulation's hottest loop.
     """
 
-    __slots__ = ("event", "total", "results", "req_ids", "enough",
+    __slots__ = ("event", "total", "timer", "results", "req_ids", "enough",
                  "hedge", "expiries", "hedge_at", "hedges", "accounted")
 
     def __init__(self, event: Event, total: int):
         self.event = event
         self.total = total
+        self.timer: Optional[Timer] = None  # a plain wave's one deadline
         self.results: dict[str, Any] = {}
         self.req_ids: dict[int, str] = {}  # outstanding req_id -> dst
         self.enough: Optional[Callable[[dict], bool]] = None
@@ -171,9 +182,11 @@ class RpcLayer:
         rpc.serve("write-request", handler)
 
     where ``handler(src, args)`` either returns a value directly or returns
-    a generator (a node process) whose return value becomes the response.
-    If the handler's node crashes before it finishes, no response is sent
-    and the caller times out.
+    a generator whose return value becomes the response.  The generator
+    runs inside the delivery of the request up to its first real wait; if
+    it has one, it goes on as a node process.  If the handler's node
+    crashes before it finishes, no response is sent and the caller times
+    out.
 
     The server side is **at-most-once** per caller request: a duplicate
     delivery of a request (a faulty network may duplicate datagrams) is
@@ -218,7 +231,7 @@ class RpcLayer:
         self._req_ids = itertools.count(1)
         # (caller, req_id) -> response value or _IN_PROGRESS (bounded LRU)
         self._served: OrderedDict[tuple[str, int], Any] = OrderedDict()
-        # req_id -> (sink, dst, sent); sink is the call's Event or _Wave.
+        # req_id -> (sink, dst, sent); sink is the request's _Call or _Wave.
         self._pending: dict[int, tuple[Any, str, float]] = {}
         # expired req_id -> (dst, sent): a reply arriving for one of these
         # is late but still a liveness/latency signal (bounded LRU)
@@ -263,14 +276,19 @@ class RpcLayer:
         :data:`CALL_FAILED`.  It never fails with an exception."""
         deadline = self.default_timeout if timeout is None else timeout
         req_id = next(self._req_ids)
-        result = self.env.event()
-        self._pending[req_id] = (result, dst, self.env.now)
-        self.node.trace.record(self.env.now, "rpc-call", self.node.name,
-                               method=method, dst=dst, req_id=req_id)
-        self._link(dst)[0].inc()
-        self.node.send(dst, self.REQUEST_KIND,
-                       _Request(req_id, method, args, self.node.name))
-        self.env._schedule(self._expire, req_id, deadline)
+        env = self.env
+        now = env.now
+        node = self.node
+        name = node.name
+        result = env.event()
+        node.trace.record(now, "rpc-call", name,
+                          method=method, dst=dst, req_id=req_id)
+        (self._link_stats.get(dst) or self._link(dst))[0].inc()
+        node.network.send(name, dst, self.REQUEST_KIND,
+                          _Request(req_id, method, args, name))
+        self._pending[req_id] = (
+            _Call(result, env.timer(deadline, self._expire, req_id)),
+            dst, now)
         return result
 
     def call_wave(self, requests: dict, timeout: Optional[float] = None,
@@ -284,9 +302,9 @@ class RpcLayer:
         destination has answered or the shared deadline has passed.
         Semantically this equals one :meth:`call` per destination plus an
         ``AllOf`` with a common timeout, but the whole wave costs one
-        expiry timer and one completion event instead of a timer per
-        call -- the scheduler processes O(wave) fewer events per poll
-        round, which is the protocol simulation's hottest loop.
+        expiry timer -- withdrawn when the last answer arrives, which
+        also resumes the waiting caller -- instead of a timer and a
+        completion event per call.
 
         Passing any of the gray-failure options turns the wave into a
         *managed* wave:
@@ -327,7 +345,7 @@ class RpcLayer:
             (link_stats.get(dst) or self._link(dst))[0].inc()
             send(name, dst, kind, _Request(req_id, method, args, name))
         if deadlines is None and hedge is None and enough is None:
-            self.env._schedule(self._expire_wave, wave, deadline)
+            wave.timer = self.env.timer(deadline, self._expire_wave, wave)
             return gathered
         wave.enough = enough
         wave.expiries = {
@@ -415,33 +433,27 @@ class RpcLayer:
             late.popitem(last=False)
 
     def _expire(self, req_id: int) -> None:
-        entry = self._pending.pop(req_id, None)
-        if entry is None:
-            return
-        event, dst, sent = entry
-        if not event.triggered:
-            self.node.trace.record(self.env.now, "rpc-timeout", self.node.name,
-                                   req_id=req_id)
-            self._link(dst)[1].inc()
-            self._observe(dst, ok=False)
-            self._remember_late(req_id, dst, sent)
-            event.succeed(CALL_FAILED)
+        # an answered call's timer is cancelled: this one is still pending
+        call, dst, sent = self._pending.pop(req_id)
+        self.node.trace.record(self.env.now, "rpc-timeout", self.node.name,
+                               req_id=req_id)
+        self._link(dst)[1].inc()
+        self._observe(dst, ok=False)
+        self._remember_late(req_id, dst, sent)
+        call.event.succeed(CALL_FAILED)
 
     def _expire_wave(self, wave: _Wave) -> None:
-        if wave.event.triggered:
-            return
+        # a plain wave: answered in full, its timer would have been cancelled
         pending = self._pending
         trace = self.node.trace
         now = self.env.now
         for req_id, dst in wave.req_ids.items():
-            entry = pending.pop(req_id, None)
-            if entry is None:
-                continue
+            _wave, _dst, sent = pending.pop(req_id)
             trace.record(now, "rpc-timeout", self.node.name, req_id=req_id)
             wave.results[dst] = CALL_FAILED
             self._link(dst)[1].inc()
             self._observe(dst, ok=False)
-            self._remember_late(req_id, dst, entry[2])
+            self._remember_late(req_id, dst, sent)
         wave.req_ids.clear()
         wave.event.succeed(wave.results)
 
@@ -581,9 +593,12 @@ class RpcLayer:
             if isinstance(sink, _Wave):
                 sink.results[dst] = CALL_FAILED
                 waves.append(sink)
-            elif not sink.triggered:
-                sink.succeed(CALL_FAILED)
+            else:
+                sink.timer.cancel()
+                sink.event.succeed(CALL_FAILED)
         for wave in waves:
+            if wave.timer is not None:
+                wave.timer.cancel()
             if not wave.event.triggered:
                 wave.req_ids.clear()
                 wave.event.succeed(wave.results)
@@ -633,15 +648,27 @@ class RpcLayer:
         handler, process_name = served
         result = handler(msg.src, request.args)
         if result is not None and hasattr(result, "send"):
-            # a duplicate delivered while the handler runs must find it
-            self._remember(key, self._IN_PROGRESS)
-            self.node.spawn_as(self._respond_later(request, result),
-                               process_name)
-        else:
-            # nothing can be delivered while a plain handler runs, so its
-            # request goes into the cache answered
-            self._remember(key, result)
-            self._reply(request, result)
+            # A generator handler runs inside this delivery up to its
+            # first real wait.  Most never have one (an uncontended lock
+            # grants synchronously) and are answered like a plain handler.
+            try:
+                target = advance(result)
+            except StopIteration as stop:
+                result = stop.value
+            except BaseException as exc:  # a real bug: step() re-raises it
+                self.env._record_crash(process_name, exc)
+                return
+            else:
+                # parked: a duplicate delivered meanwhile must find it
+                self._remember(key, self._IN_PROGRESS)
+                body = self._respond_later(request, result, target)
+                next(body)      # to its ``yield target``: no handler code runs
+                self.node.spawn_parked(body, process_name, target)
+                return
+        # nothing can be delivered while a handler runs, so its request
+        # goes into the cache answered
+        self._remember(key, result)
+        self._reply(request, result)
 
     def _remember(self, key: tuple[str, int], value: Any) -> None:
         self._served[key] = value
@@ -649,8 +676,24 @@ class RpcLayer:
         while len(self._served) > self.DEDUP_CAPACITY:
             self._served.popitem(last=False)
 
-    def _respond_later(self, request: _Request, generator):
-        value = yield from generator
+    def _respond_later(self, request: _Request, generator, target: Any):
+        """Body of the node process of a handler that parked on *target*:
+        waits wherever the handler waits, and answers when it returns.
+        (``yield from`` would restart the wait the handler is already in.)
+        """
+        try:
+            while True:
+                try:
+                    value = yield target
+                except GeneratorExit:   # dropped unfinished: so is the handler
+                    generator.close()
+                    raise
+                except BaseException as exc:    # an interrupt, a failed wait
+                    target = advance(generator, None, exc)
+                else:
+                    target = advance(generator, value)
+        except StopIteration as stop:
+            value = stop.value
         self._remember((request.reply_to, request.req_id), value)
         self._reply(request, value)
 
@@ -687,13 +730,16 @@ class RpcLayer:
             del sink.req_ids[response.req_id]
             sink.results[dst] = response.value
             if sink.expiries is None:
-                if (len(sink.results) == sink.total
-                        and sink.event._ok is None):
-                    sink.event.succeed(sink.results)
+                if len(sink.results) == sink.total:
+                    # The last answer of a plain wave.  Nothing follows in
+                    # this delivery, so the coordinator resumes inside it.
+                    sink.timer.cancel()
+                    sink.event.succeed_in_place(sink.results)
                 return
             sink.expiries.pop(response.req_id, None)
             if sink.hedge_at:
                 sink.hedge_at.pop(response.req_id, None)
             self._settle_wave(sink)
-        elif not sink.triggered:
-            sink.succeed(response.value)
+        else:
+            sink.timer.cancel()
+            sink.event.succeed_in_place(response.value)

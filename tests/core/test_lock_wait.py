@@ -1,9 +1,10 @@
 """The one replica lock wait, ``acquire_within``, and its two callers.
 
-An uncontended wait is the grant event alone: one queue entry, and no
-``lock_wait`` timer left behind to fire unheard seconds later.  A request
-that has to queue still races the timer, gives up at ``lock_wait`` and
-withdraws.
+An uncontended wait is no wait: the lock grants inside ``acquire()``,
+nobody has to be told, and the handler carries on in the queue entry it
+asked in -- no entry for the grant, and no ``lock_wait`` timer left
+behind to fire unheard seconds later.  A request that has to queue still
+races the timer, gives up at ``lock_wait`` and withdraws.
 """
 
 import pytest
@@ -12,8 +13,9 @@ from repro.core.participant import acquire_within
 from repro.core.store import ReplicatedStore
 from repro.shard.store import ShardedStore
 from repro.sim.engine import Environment
-from repro.sim.network import Network
+from repro.sim.network import LatencyModel, Network
 from repro.sim.node import Node
+from repro.sim.rpc import CALL_FAILED, RpcLayer
 
 
 def wait_for(env, lock, owner, wait, shared=False, results=None):
@@ -23,22 +25,21 @@ def wait_for(env, lock, owner, wait, shared=False, results=None):
 
 
 class TestAcquireWithin:
-    def test_uncontended_wait_is_one_queue_entry_and_no_timer(self):
+    def test_uncontended_wait_is_no_queue_entry_and_no_timer(self):
         env = Environment()
         lock = env.lock()
         results = []
         process = env.process(wait_for(env, lock, "op", 5.0, results=results))
-        env.step()                      # the process starts and asks
+        env.step()                      # the process starts, asks and goes on
         assert lock.holders == ("op",)
-        assert env.queue_size == 1      # the grant; no timer beside it
-        before = env.events_processed
-        env.run_until([process])
-        assert env.events_processed - before == 1
         assert results == [("op", True, 0.0)]
+        assert process.triggered
+        assert env.queue_size == 0      # no grant entry, no timer
+        assert env.events_processed == 1
         env.run()
         assert env.now == 0.0           # nothing was left to fire at t=5
 
-    def test_uncontended_shared_wait_beside_readers_is_one_entry_too(self):
+    def test_uncontended_shared_wait_beside_readers_is_no_entry_either(self):
         env = Environment()
         lock = env.lock()
         lock.acquire("r0", shared=True)
@@ -46,10 +47,11 @@ class TestAcquireWithin:
         env.run()
         process = env.process(wait_for(env, lock, "r1", 5.0, shared=True,
                                        results=results))
-        env.step()
         before = env.events_processed
-        env.run_until([process])
-        assert env.events_processed - before == 1
+        env.step()
+        assert process.triggered
+        assert env.events_processed - before == 1   # the process's start
+        assert env.queue_size == 0
         assert set(lock.holders) == {"r0", "r1"}
         env.run()
         assert env.now == 0.0
@@ -92,17 +94,50 @@ class TestAcquireWithin:
                            ("r3", True, 1.0)]
         assert set(lock.holders) == {"r1", "r2", "r3"}
 
-    def test_a_crash_between_grant_and_resumption_leaves_no_holder(self):
+    def test_a_crash_at_the_instant_of_the_grant_finds_no_half_done_wait(self):
+        """There is no gap between a synchronous grant and the code after
+        ``yield grant``: the handler runs whole inside the delivery of
+        its request, so a crash queued for the same instant comes after
+        all of it or before any of it -- never a step on a node that is
+        already down, never a holder left behind."""
+        for crash_first in (False, True):
+            env = Environment()
+            network = Network(env, latency=LatencyModel(0.005, 0.005))
+            caller, callee = Node(env, network, "a"), Node(env, network, "b")
+            lock = callee.make_lock("replica")
+            ran_on = []
+
+            def handler(src, args):
+                held = yield from acquire_within(env, lock, "op", False, 5.0)
+                ran_on.append((held, callee.up))
+                return "done"
+
+            RpcLayer(callee).serve("take", handler)
+            rpc = RpcLayer(caller)
+            if crash_first:
+                env.schedule(callee.crash, delay=0.005)
+                answer = rpc.call("b", "take", timeout=1.0)
+            else:
+                answer = rpc.call("b", "take", timeout=1.0)
+                env.schedule(callee.crash, delay=0.005)
+            env.run()
+            assert ran_on == ([] if crash_first else [(True, True)])
+            assert lock.idle            # ``Lock.reset``: no holder left
+            assert not callee.live_processes()
+            # the reply left a node that then crashed, or was never sent
+            assert answer.value is CALL_FAILED
+
+    def test_a_crash_while_queued_for_the_lock_still_interrupts_the_wait(self):
         env = Environment()
         node = Node(env, Network(env), "a")
         lock = node.make_lock("replica")
+        lock.acquire("holder")
         results = []
-        node.spawn(wait_for(env, lock, "op", 5.0, results=results))
-        env.step()                      # granted, not yet resumed
-        assert lock.holders == ("op",)
+        node.spawn(wait_for(env, lock, "late", 5.0, results=results))
+        env.step()                      # queued behind the holder
         node.crash()
-        assert lock.idle                # ``Lock.reset``: the grant is void
-        env.run()
+        env.run(until=1.0)
+        assert results == []            # interrupted, never resumed
         assert lock.idle
         assert not node.live_processes()
 
@@ -120,7 +155,8 @@ class TestBothStacksUseIt:
 
         process = env.process(body())
         env.step()
-        assert env.queue_size == 1      # uncontended: the grant alone
+        assert got == [True]            # uncontended: granted in the asking
+        assert env.queue_size == 1      # the second request's timer alone
         env.run_until([process])
         assert got == [True, False]
         assert env.now == pytest.approx(0.25)
@@ -140,6 +176,7 @@ class TestBothStacksUseIt:
 
         process = env.process(body())
         env.step()
+        assert got == [True]
         assert env.queue_size == 1
         env.run_until([process])
         assert got == [True, False]

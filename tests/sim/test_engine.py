@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import random
+
 import pytest
 
 from repro.sim.engine import (
@@ -7,9 +9,11 @@ from repro.sim.engine import (
     AnyOf,
     Environment,
     Interrupt,
+    Process,
     SimulationError,
     SimulationStalled,
     Timeout,
+    advance,
 )
 
 
@@ -607,11 +611,10 @@ class TestStepAndRunUntil:
         env.run_until([slow, fast])
         assert (fast.value, slow.value) == (1.0, 2.0)
         assert env.now == 2.0
-        # two process starts, two timeouts, and on the way the finished
-        # ``fast`` telling its (absent) waiters; ``slow``'s own such entry
-        # and the stray timer stay queued
-        assert env.events_processed == 5
-        assert env.queue_size == 2
+        # two process starts and two timeouts; a finished process nobody
+        # waits for queues nothing, so only the stray timer is left
+        assert env.events_processed == 4
+        assert env.queue_size == 1
 
     def test_run_until_returns_at_once_when_everything_has_triggered(self):
         env = Environment()
@@ -735,3 +738,266 @@ class TestLockGrantBatches:
         assert first.triggered and not third.triggered
         lock.release("first")
         assert third.triggered
+
+    def test_cancel_of_an_owner_that_is_not_queued_changes_nothing(self):
+        env = Environment()
+        lock = env.lock()
+        lock.acquire("holder")
+        lock.acquire("next")
+        waiters = lock._waiters
+        lock.cancel("stranger")
+        assert lock._waiters is waiters     # not rebuilt, nothing granted
+        assert lock.holders == ("holder",)
+
+
+class TestUnheardTriggers:
+    """An event that succeeds with nobody waiting queues nothing; it is
+    dispatched there and then (``callbacks`` is ``None``)."""
+
+    def test_unheard_success_leaves_the_queue_untouched(self):
+        env = Environment()
+        event = env.event()
+        assert event.callbacks == []        # a list while pending
+        event.succeed("v")
+        assert event.callbacks is None
+        assert env.queue_size == 0
+        assert (event.triggered, event.ok, event.value) == (True, True, "v")
+
+    def test_a_late_callback_still_runs_on_the_next_tick(self):
+        env = Environment()
+        event = env.event().succeed("v")
+        seen = []
+        event._add_callback(lambda e: seen.append((env.now, e.value)))
+        assert seen == [] and env.queue_size == 1
+        env.step()
+        assert seen == [(0.0, "v")]
+
+    def test_a_heard_success_is_told_from_its_own_entry(self):
+        env = Environment()
+        event = env.event()
+        seen = []
+        event._add_callback(seen.append)
+        event.succeed()
+        assert event.callbacks is not None and seen == []
+        assert env.queue_size == 1
+        env.step()
+        assert seen == [event] and event.callbacks is None
+
+    def test_an_unheard_failure_is_still_queued(self):
+        env = Environment()
+        event = env.event()
+        event.fail(RuntimeError("x"))
+        assert env.queue_size == 1
+
+    def test_a_finished_process_nobody_waits_for_queues_nothing(self):
+        env = Environment()
+
+        def body(env):
+            yield env.timeout(1.0)
+            return 7
+
+        process = env.process(body(env))
+        env.run()
+        assert process.value == 7
+        assert env.events_processed == 2    # the start and the timeout
+
+
+class TestDispatchedWaits:
+    """A process that yields an event dispatched successfully is sent its
+    value at once, inside the running queue entry."""
+
+    def test_a_yielded_dispatched_event_continues_in_place(self):
+        env = Environment()
+        done = env.event().succeed("early")
+        fired = env.timeout(0.0, "t")
+        env.run()
+        got = []
+
+        def body(env):
+            got.append((yield done))
+            got.append((yield fired))
+            got.append((yield env.any_of([done])))
+            yield env.timeout(1.0)
+            got.append("parked")
+
+        env.process(body(env))
+        before = env.events_processed
+        env.step()
+        assert got == ["early", "t", {done: "early"}]
+        assert env.events_processed - before == 1
+        env.run()
+        assert got[-1] == "parked"
+
+    def test_a_yielded_failed_event_still_throws(self):
+        env = Environment()
+        failed = env.event()
+        failed.fail(KeyError("gone"))
+        env.run()
+        assert failed.callbacks is None and not failed.ok
+        caught = []
+
+        def body(env):
+            try:
+                yield failed
+            except KeyError as exc:
+                caught.append((env.now, exc.args))
+
+        env.process(body(env))
+        env.step()
+        assert caught == []                 # thrown in from the next tick
+        env.step()
+        assert caught == [(0.0, ("gone",))]
+
+    def test_a_triggered_event_whose_waiters_are_not_told_yet_is_a_wait(self):
+        env = Environment()
+        event = env.event()
+        order = []
+        event._add_callback(lambda e: order.append("first waiter"))
+
+        def body(env):
+            event.succeed()
+            yield event                     # behind the first waiter
+            order.append("process")
+
+        env.process(body(env))
+        env.run()
+        assert order == ["first waiter", "process"]
+
+    def test_a_process_can_be_created_parked_on_a_wait(self):
+        env = Environment()
+        gate = env.event()
+        log = []
+
+        def body():
+            log.append("first segment")
+            value = yield gate
+            log.append(value)
+            return "end"
+
+        generator = body()
+        target = advance(generator)
+        assert target is gate and log == ["first segment"]
+        process = Process(env, generator, "parked", parked_on=target)
+        assert env.queue_size == 0          # no entry to start it
+        gate.succeed("open")
+        env.run()
+        assert log == ["first segment", "open"] and process.value == "end"
+
+    def test_a_parked_process_is_interruptible(self):
+        env = Environment()
+        gate = env.event()
+        caught = []
+
+        def body():
+            try:
+                yield gate
+            except Interrupt as interrupt:
+                caught.append(interrupt.cause)
+
+        generator = body()
+        process = Process(env, generator, "parked",
+                          parked_on=advance(generator))
+        process.interrupt("crash")
+        env.run()
+        assert caught == ["crash"] and gate.callbacks == []
+
+
+class TestInPlaceSuccess:
+    def test_waiters_run_inside_the_triggering_entry(self):
+        env = Environment()
+        event = env.event()
+        got = []
+
+        def waiter(env):
+            got.append((yield event))
+
+        env.process(waiter(env))
+        env.run()
+        env.schedule(lambda: event.succeed_in_place("now"))
+        before = env.events_processed
+        env.step()
+        assert got == ["now"] and event.callbacks is None
+        assert env.events_processed - before == 1
+        assert env.queue_size == 0
+
+    def test_twice_is_an_error(self):
+        env = Environment()
+        event = env.event()
+        event.succeed_in_place()
+        with pytest.raises(SimulationError, match="already triggered"):
+            event.succeed_in_place()
+
+
+class TestCancellableTimers:
+    def test_a_timer_runs_its_call_once(self):
+        env = Environment()
+        got = []
+        timer = env.timer(2.0, got.append, "x")
+        env.run()
+        assert got == ["x"] and env.now == 2.0
+        timer.cancel()                      # too late: a no-op
+        assert env.queue_size == 0
+
+    def test_a_cancelled_timer_never_runs_counts_or_moves_the_clock(self):
+        env = Environment()
+        got = []
+        env.timer(1.0, got.append, "live")
+        dead = env.timer(5.0, got.append, "dead")
+        env.timer(9.0, got.append, "far").cancel()
+        dead.cancel()
+        dead.cancel()                       # idempotent
+        assert env.queue_size == 1
+        assert env.run() == 1.0
+        assert got == ["live"] and env.events_processed == 1
+
+    def test_run_until_a_time_stops_before_a_cancelled_head(self):
+        env = Environment()
+        got = []
+        first = env.timer(1.0, got.append, "a")
+        env.timer(3.0, got.append, "b")
+        env.timer(4.0, got.append, "c")
+        first.cancel()                      # was the head
+        assert env.run(until=2.0) == 2.0
+        assert got == []
+        env.run()
+        assert got == ["b", "c"]
+
+    def test_a_cancelled_entry_under_the_head_is_skipped_when_reached(self):
+        env = Environment()
+        got = []
+        for delay in (1.0, 3.0, 4.0, 5.0, 6.0):
+            env.timer(delay, got.append, delay)
+        second = env.timer(2.0, got.append, 2.0)
+        second.cancel()                     # 1 of 6: stays queued, not head
+        assert len(env._queue) == 6 and env.queue_size == 5
+        env.step()                          # t=1; the next head is dropped
+        assert env.now == 1.0 and len(env._queue) == 4
+        assert env.run(until=2.5) == 2.5 and got == [1.0]
+
+    def test_compaction_preserves_pop_order(self):
+        rng = random.Random(5)
+        env = Environment()
+        got = []
+        timers = [env.timer(rng.choice((1.0, 2.0, 3.0)), got.append, i)
+                  for i in range(200)]
+        expected = [i for _t, i in sorted(
+            (entry[0], entry[3]._arg) for entry in env._queue)]
+        rng.shuffle(timers)
+        cancelled = set()
+        for timer in timers[:150]:
+            cancelled.add(timer._arg)
+            timer.cancel()
+            # cancelled entries never exceed half of what is queued
+            assert 2 * env._cancelled <= len(env._queue)
+        assert env.queue_size == 50
+        env.run()
+        assert got == [i for i in expected if i not in cancelled]
+        assert env.events_processed == 50
+
+    def test_step_on_a_queue_of_cancelled_timers_is_an_empty_queue(self):
+        env = Environment()
+        env.timer(1.0, print).cancel()
+        assert env.queue_size == 0
+        with pytest.raises(SimulationError, match="empty queue"):
+            env.step()
+        assert env.run() == 0.0

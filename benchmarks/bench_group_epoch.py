@@ -6,10 +6,13 @@
 
 Measures epoch-checking messages per item for a K-item group store versus
 K independent single-item stores, over the same failure/recovery episode.
+A group of items under one epoch is one shard, so the group store is the
+one-shard ``ShardedStore`` replicated on every node.
 """
 
-from repro.core.multistore import MultiItemStore
 from repro.core.store import ReplicatedStore
+from repro.coteries.grid import GridCoterie
+from repro.shard.store import ShardedStore
 
 from _report import report
 
@@ -26,14 +29,18 @@ def _rpc_sends(trace) -> int:
                if "propagation" not in rec.detail["method"])
 
 
+def group_store(seed: int, **kwargs) -> ShardedStore:
+    return ShardedStore.create(N_NODES, n_shards=1, replication=N_NODES,
+                               seed=seed, coterie_rule=GridCoterie, **kwargs)
+
+
 def grouped_cost(n_items: int) -> int:
-    store = MultiItemStore.create(N_NODES, n_items, seed=5,
-                                  trace_enabled=True)
+    store = group_store(5, trace_enabled=True)
     for k in range(n_items):
         store.write(f"item{k}", {"v": k})
     store.crash("n08")
     store.trace.clear()
-    assert store.check_epoch().changed
+    assert store.check_shard(0).changed
     return _rpc_sends(store.trace)
 
 
@@ -79,7 +86,7 @@ def test_group_epoch_amortization(benchmark, capsys):
 
 
 def test_multi_item_write(benchmark):
-    store = MultiItemStore.create(9, 4, seed=6)
+    store = group_store(6)
 
     def one_write():
         counter = getattr(one_write, "counter", 0) + 1

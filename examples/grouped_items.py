@@ -4,21 +4,25 @@
 A directory server replicates 6 independent records on 9 nodes.  With the
 paper's group epoch, one CheckEpoch per failure episode covers all six
 records -- the amortization argument of Section 2 -- while reads, writes,
-and delta propagation stay per record.
+and delta propagation stay per record.  A group of items under one
+epoch is one shard: the store is a one-shard ``ShardedStore`` whose
+shard lives on every node.
 
 Run:  python examples/grouped_items.py
 """
 
-from repro.core.multistore import MultiItemStore
+from repro.coteries.grid import GridCoterie
+from repro.shard.store import ShardedStore
 
 
 RECORDS = [f"user{i}" for i in range(6)]
+GROUP = 0   # the one shard
 
 
 def main() -> None:
-    store = MultiItemStore(
-        [f"n{i:02d}" for i in range(9)], RECORDS, seed=21,
-        trace_enabled=True)
+    store = ShardedStore.create(
+        9, n_shards=1, replication=9, seed=21, coterie_rule=GridCoterie,
+        trace_enabled=True, track_history=True)
 
     print("=== populate six records ===")
     for i, record in enumerate(RECORDS):
@@ -29,9 +33,9 @@ def main() -> None:
     print("\n=== one failure episode, ONE epoch check for the group ===")
     store.crash("n08")
     store.trace.clear()
-    result = store.check_epoch()
+    result = store.check_shard(GROUP)
     checks = sum(1 for rec in store.trace.select(kind="rpc-call")
-                 if rec.detail["method"] == "mi-epoch-check-request")
+                 if rec.detail["method"] == "sh-epoch-check-request")
     print(f"epoch check: ok={result.ok} -> epoch "
           f"#{result.epoch_number} with {len(result.epoch_list)} members")
     print(f"epoch-check polls sent: {checks} (one per NODE, "
@@ -46,13 +50,13 @@ def main() -> None:
 
     print("\n=== rejoin: per-record staleness, per-record healing ===")
     store.recover("n08")
-    result = store.check_epoch()
-    n08 = store.servers["n08"]
-    stale_records = [r for r in RECORDS if n08.item_state(r).stale]
+    result = store.check_shard(GROUP)
+    n08 = store.hosts["n08"]
+    stale_records = [r for r in RECORDS if n08.item_state(GROUP, r).stale]
     print(f"records stale on n08 after rejoin: {stale_records}")
     store.settle()
     print("after propagation:",
-          {r: n08.item_state(r).version for r in RECORDS})
+          {r: n08.item_state(GROUP, r).version for r in RECORDS})
 
     print("\nverified:", store.verify())
 

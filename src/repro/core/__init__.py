@@ -11,12 +11,16 @@ Modules
     commands, propagation payloads.
 ``state``
     The per-replica stable state: value, version number, desired version
-    number, stale flag, epoch list/number, update log.
+    number, stale flag, epoch list/number, update log -- and the per-item
+    part of it alone, for the keyed store of :mod:`repro.shard`.
+``participant``
+    The one presumed-abort 2PC participant (lock custody, prepare, vote,
+    decision, termination, recovery) that every replica stack mixes in.
 ``replica``
     The replica server: RPC handlers for write/read/epoch-check requests,
-    two-phase-commit participation, propagation source and target.
+    the 2PC command semantics, propagation source and target.
 ``twophase``
-    Presumed-abort two-phase commit (coordinator side + termination).
+    Presumed-abort two-phase commit (coordinator side + rebroadcast).
 ``coordinator``
     The write and read coordinators (the appendix's ``Write`` /
     ``HeavyProcedure`` and the analogous read).
@@ -37,12 +41,10 @@ Modules
 from repro.core.config import ProtocolConfig
 from repro.core.history import History, check_one_copy_serializability
 from repro.core.messages import ReadResult, WriteResult
-from repro.core.multistore import MultiItemStore
 from repro.core.store import ReplicatedStore
 
 __all__ = [
     "History",
-    "MultiItemStore",
     "ProtocolConfig",
     "ReadResult",
     "ReplicatedStore",

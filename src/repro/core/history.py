@@ -262,7 +262,7 @@ def adopt_durable_outcomes(history: History, servers) -> list[OpRecord]:
         entries = tuple(getattr(server.state, "update_log", ()))
         # total-write protocols journal (version, value) separately,
         # because a ReplaceValue resets the update log (see
-        # ReplicaServer._apply_command)
+        # ReplicaServer._apply)
         entries += tuple(server.node.stable.get("replace_journal", ()))
         for version, updates in entries:
             if version not in claimed:

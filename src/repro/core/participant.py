@@ -1,16 +1,19 @@
-"""The shared 2PC participant: locking, prepare/commit, termination.
+"""The 2PC participant: lock custody, prepare/commit, termination.
 
-Both the multi-item replica server (:mod:`repro.core.multistore`) and the
-sharded replica host (:mod:`repro.shard.host`) participate in exactly the
-same presumed-abort two-phase commit: acquire per-resource locks on
-behalf of an operation, force-write the prepare, vote, apply or discard
-on the decision, and run cooperative termination when the coordinator
-goes silent.  This mixin is that participant, extracted from
-``MultiReplicaServer`` and generalized over *resources* -- opaque
-hashable lock keys.  The multi-item store's resources are item names;
-the sharded store's are ``(shard, key)`` pairs.
+The paper has one ``try-atomically`` (Section 4, "the two-phase commit
+protocol"); this mixin is its one participant.  Both replica stacks --
+the single-item :class:`~repro.core.replica.ReplicaServer` and the
+sharded :class:`~repro.shard.host.ShardHost` -- mix it in and run
+exactly the same presumed-abort two-phase commit: take custody of
+per-resource locks on behalf of an operation's write poll, force-write
+the prepare, vote, apply or discard on the decision, run cooperative
+termination when the coordinator goes silent, and re-announce unfinished
+commit decisions after a crash.  It is generalized over *resources* --
+opaque hashable lock keys.  The single-item replica has one resource
+(its one lock); the sharded host's are ``(shard, key)`` pairs.
 
-A host class mixes this in and provides:
+A host class mixes this in, calls :meth:`init_participant` at boot, and
+provides:
 
 ``node`` / ``rpc`` / ``env`` / ``config`` / ``name``
     The usual server plumbing (:class:`~repro.sim.node.Node`, the RPC
@@ -24,9 +27,9 @@ A host class mixes this in and provides:
     The lock guarding one resource.  May create lazily (the sharded
     host pools locks so a million-key node does not hold a million
     Lock objects).
-``_apply(command)`` / ``_post_commit(command)``
-    Apply a committed command to stable state; start any follow-up work
-    (propagation) after the commit is durable.
+``_apply(prepare)`` / ``_post_commit(command)``
+    Apply a committed prepare's command to stable state; start any
+    follow-up work (propagation) after the commit is durable.
 ``_snapshot_matches(expected) -> bool``
     Validate a prepare's expected-state snapshot (epoch installs re-check
     the state they polled; see paper Section 4.3).
@@ -40,7 +43,9 @@ A host class mixes this in and provides:
 Durable state layout (all on ``node.stable``): ``prepared`` maps txn_id
 -> Prepare, ``txn_outcomes`` maps txn_id -> "committed"/"aborted",
 ``coord_committed`` is the coordinator-side presumed-abort decision
-record (written by :func:`repro.core.twophase.run_transaction`).
+record and ``coord_decisions`` the participants of each decision whose
+commit wave is not fully acked (both written by
+:func:`repro.core.twophase.run_transaction`).
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.messages import Prepare
+from repro.core.twophase import rebroadcast_decisions
 from repro.sim.engine import Environment, Lock
 from repro.sim.rpc import CALL_FAILED
 
@@ -85,7 +91,7 @@ class TwoPhaseParticipant:
     def _lock(self, resource):
         raise NotImplementedError
 
-    def _apply(self, command) -> None:
+    def _apply(self, prepare: Prepare) -> None:
         raise NotImplementedError
 
     def _post_commit(self, command) -> None:
@@ -98,14 +104,17 @@ class TwoPhaseParticipant:
         pass
 
     # -- wiring ---------------------------------------------------------------
-    def init_participant_state(self) -> None:
-        """Create the durable 2PC tables (idempotent; call at boot)."""
-        self.node.stable.setdefault("prepared", {})
-        self.node.stable.setdefault("txn_outcomes", {})
-        self.node.stable.setdefault("coord_committed", set())
-
-    def serve_txn_endpoints(self) -> None:
-        """Register the five 2PC RPC methods on this host's RPC layer."""
+    def init_participant(self) -> None:
+        """Create the durable 2PC tables (idempotent), hook recovery, and
+        register the five 2PC RPC methods on the host's RPC layer.  Call
+        once at boot; the host serves ``_on_op_release`` itself, under
+        the method name its coordinator sends."""
+        stable = self.node.stable
+        stable.setdefault("prepared", {})
+        stable.setdefault("txn_outcomes", {})
+        stable.setdefault("coord_committed", set())
+        stable.setdefault("coord_decisions", {})
+        self.node.add_recover_hook(self._on_recover)
         serve = self.rpc.serve
         serve("txn-prepare", self._on_prepare)
         serve("txn-commit", self._on_commit)
@@ -124,6 +133,7 @@ class TwoPhaseParticipant:
 
     def _acquire(self, resource, owner: str, shared: bool = False,
                  wait: Optional[float] = None):
+        """Generator: try to acquire one resource's lock; returns bool."""
         granted = yield from acquire_within(
             self.env, self._lock(resource), owner, shared,
             self.config.lock_wait if wait is None else wait)
@@ -131,34 +141,108 @@ class TwoPhaseParticipant:
             self._after_release(resource)
         return granted
 
+    def _release(self, resource, owner: str) -> None:
+        self._lock(resource).release(owner)
+        self._after_release(resource)
+
     def _release_op(self, op_id: str) -> None:
-        resources = self._op_locks.pop(op_id, ())
-        for resource in resources:
-            self._lock(resource).release(op_id)
-            self._after_release(resource)
+        for resource in self._op_locks.pop(op_id, ()):
+            self._release(resource, op_id)
         self._prepared_ops.discard(op_id)
 
     def _lease_watchdog(self, op_id: str):
+        """Reclaim a poll-granted lock whose coordinator went silent."""
         yield self.env.timeout(self.config.lock_lease)
         if op_id in self._op_locks and op_id not in self._prepared_ops:
             self._trace("lock-lease-expired", op_id=op_id)
             self._release_op(op_id)
 
+    # -- write-poll custody -----------------------------------------------------
+    def _custody_settled(self, op_id: str) -> Optional[bool]:
+        """The answer to a write poll of *op_id* that needs no lock wait,
+        or None when the poll has to queue for the lock."""
+        if op_id in self._op_locks:
+            return True   # heavy-procedure re-poll from the same operation
+        if op_id in self.node.volatile.get("op_acquiring", ()):
+            # a duplicate poll while the first is still queued for the
+            # lock (possible when lock_wait exceeds the poll window in
+            # custom configs): answer BUSY instead of double-queueing
+            return False
+        return None
+
+    def _take_custody(self, resource, op_id: str):
+        """Generator: lock *resource* for a write poll of operation
+        *op_id* and keep it past the handler, under the lease watchdog,
+        until the operation's 2PC or its ``op-release`` discharges it.
+        Returns False (answer ``BUSY``) when the lock is not held."""
+        settled = self._custody_settled(op_id)
+        if settled is not None:
+            return settled
+        acquiring = self.node.volatile.setdefault("op_acquiring", {})
+        acquiring[op_id] = resource
+        try:
+            ok = yield from self._acquire(resource, op_id)
+        finally:
+            # setdefault: a crash in between wiped volatile state
+            self.node.volatile.setdefault("op_acquiring", {}).pop(op_id, None)
+        released = self.node.volatile.setdefault("op_released_early", set())
+        if not ok:
+            released.discard(op_id)
+            return False
+        if op_id in released:
+            # the coordinator's op-release overtook this handler while
+            # it was queued for the lock; honor it now instead of
+            # custodying a grant nobody will ever use
+            released.discard(op_id)
+            self._release(resource, op_id)
+            return False
+        self._op_locks[op_id] = (resource,)
+        self.node.spawn(self._lease_watchdog(op_id), name=f"lease-{op_id}")
+        return True
+
+    def _on_op_release(self, src: str, op_id: str) -> str:
+        if op_id in self._op_locks and op_id not in self._prepared_ops:
+            self._release_op(op_id)
+        else:
+            resource = self.node.volatile.get("op_acquiring", {}).get(op_id)
+            if resource is not None:
+                # the release raced ahead of a write poll still queued on
+                # the lock: withdraw the queued request and leave a
+                # tombstone so an already-fired grant is relinquished,
+                # not custodied
+                self.node.volatile.setdefault("op_released_early",
+                                              set()).add(op_id)
+                self._lock(resource).cancel(op_id)
+        return "ok"
+
     # -- prepare / decision ----------------------------------------------------
     def _on_prepare(self, src: str, prepare: Prepare):
         def handle():
-            if prepare.op_id not in self._op_locks:
-                if prepare.expected_snapshot is None:
+            # Protocol-level dedup by txn_id (stable, so it also covers
+            # duplicates re-delivered after this node crashed and lost the
+            # RPC layer's volatile at-most-once cache): a transaction that
+            # was already decided here must not be re-prepared -- re-vote
+            # consistently with the recorded outcome instead.
+            outcome = self.node.stable["txn_outcomes"].get(prepare.txn_id)
+            if outcome is not None:
+                return "yes" if outcome == "committed" else "no"
+            if prepare.txn_id in self.node.stable["prepared"]:
+                return "yes"   # already prepared: repeat the yes vote
+            if prepare.op_id in self._op_locks:
+                if not self._snapshot_matches(prepare.expected_snapshot):
                     return "no"
-                # epoch install: lock every resource in canonical order
-                wanted = self._resources_of(prepare.command)
+            else:
+                # Not pre-locked (epoch install, or a safety-threshold
+                # extra): lock every resource in canonical order now and
+                # validate the expected snapshot.
+                if prepare.expected_snapshot is None:
+                    return "no"   # poll lock lease expired
                 granted = []
-                for resource in wanted:
+                for resource in self._resources_of(prepare.command):
                     ok = yield from self._acquire(resource, prepare.op_id)
                     if not ok:
                         for held in granted:
-                            self._lock(held).release(prepare.op_id)
-                            self._after_release(held)
+                            self._release(held, prepare.op_id)
                         return "no"
                     granted.append(resource)
                 self._op_locks[prepare.op_id] = tuple(granted)
@@ -167,6 +251,9 @@ class TwoPhaseParticipant:
                     return "no"
             self.node.stable["prepared"][prepare.txn_id] = prepare
             self._prepared_ops.add(prepare.op_id)
+            self._trace("txn-prepared", txn_id=prepare.txn_id,
+                        op_id=prepare.op_id,
+                        coordinator=prepare.coordinator)
             self.node.spawn(self._await_decision(prepare.txn_id),
                             name=f"await-{prepare.txn_id}")
             return "yes"
@@ -182,15 +269,18 @@ class TwoPhaseParticipant:
         if prepare is not None:
             self.node.stable["txn_outcomes"][txn_id] = "aborted"
             self._release_op(prepare.op_id)
+            self._trace("txn-abort", txn_id=txn_id)
         return "ack"
 
     def _commit_txn(self, txn_id: str) -> None:
         prepare = self.node.stable["prepared"].pop(txn_id, None)
         if prepare is None:
-            return
-        self._apply(prepare.command)
+            return  # duplicate decision; idempotent
+        self._apply(prepare)
         self.node.stable["txn_outcomes"][txn_id] = "committed"
         self._release_op(prepare.op_id)
+        self._trace("txn-commit", txn_id=txn_id,
+                    command=type(prepare.command).__name__)
         self._post_commit(prepare.command)
 
     # -- termination (cooperative, presumed abort) ----------------------------
@@ -199,6 +289,7 @@ class TwoPhaseParticipant:
         yield from self._terminate(txn_id)
 
     def _terminate(self, txn_id: str):
+        """Cooperative termination for an undecided prepared transaction."""
         while txn_id in self.node.stable["prepared"]:
             prepare: Prepare = self.node.stable["prepared"][txn_id]
             status = yield self.rpc.call(prepare.coordinator, "txn-status",
@@ -211,6 +302,7 @@ class TwoPhaseParticipant:
                 self._on_abort(prepare.coordinator, txn_id)
                 return
             if status is CALL_FAILED:
+                # coordinator unreachable: ask the other participants
                 for peer in prepare.participants:
                     if peer == self.name:
                         continue
@@ -223,9 +315,11 @@ class TwoPhaseParticipant:
                     if view == "aborted":
                         self._on_abort(peer, txn_id)
                         return
+            # "pending" or no information: classic 2PC blocking; retry.
             yield self.env.timeout(self.config.termination_retry)
 
     def _on_txn_status(self, src: str, txn_id: str) -> str:
+        """Coordinator-side status (presumed abort)."""
         if txn_id in self.node.volatile.get("coord_active", set()):
             return "pending"
         if txn_id in self.node.stable["coord_committed"]:
@@ -240,11 +334,19 @@ class TwoPhaseParticipant:
             else "unknown"
 
     def _on_recover(self) -> None:
+        # Re-acquire locks for prepared transactions *before* any new
+        # request can sneak in, then resolve them via termination.
         for txn_id, prepare in self.node.stable["prepared"].items():
             resources = self._resources_of(prepare.command)
             for resource in resources:
-                self._lock(resource).acquire(prepare.op_id)
+                self._lock(resource).acquire(prepare.op_id)  # empty: granted
             self._op_locks[prepare.op_id] = resources
             self._prepared_ops.add(prepare.op_id)
             self.node.spawn(self._terminate(txn_id),
                             name=f"recover-{txn_id}")
+        # Coordinator side: re-announce commit decisions whose commit wave
+        # was never fully acknowledged, so participants blocked on this
+        # coordinator resolve without waiting for their next status poll.
+        if self.node.stable["coord_decisions"]:
+            self.node.spawn(rebroadcast_decisions(self),
+                            name="rebroadcast-decisions")

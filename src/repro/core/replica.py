@@ -41,15 +41,25 @@ from repro.core.messages import (
     ReplaceValue,
     StateResponse,
 )
-from repro.core.participant import acquire_within
+from repro.core.participant import TwoPhaseParticipant
 from repro.core.state import ReplicaState, initial_state
 from repro.obs.metrics import NULL_REGISTRY
 from repro.sim.node import Node
-from repro.sim.rpc import CALL_FAILED, RpcLayer
+from repro.sim.rpc import RpcLayer
 
 
-class ReplicaServer:
-    """Protocol endpoint for one replica of the data item."""
+#: The single-item replica's one lock resource (its one lock).
+REPLICA = "replica"
+
+
+class ReplicaServer(TwoPhaseParticipant):
+    """Protocol endpoint for one replica of the data item.
+
+    Lock custody and the presumed-abort 2PC participant come from
+    :class:`~repro.core.participant.TwoPhaseParticipant`; this class
+    supplies the replica state, the poll handlers, the command
+    semantics and the propagation target role.
+    """
 
     def __init__(self, node: Node, rpc: RpcLayer,
                  coterie_rule: CoterieRule,
@@ -71,12 +81,8 @@ class ReplicaServer:
         if self.config.quorum_strategy:
             self._strategies = StrategyCache(seed=seed,
                                              metrics=self.metrics)
-        self.lock = node.make_lock("replica")
+        self.lock = node.make_lock(REPLICA)
         node.stable["replica"] = initial_state(self.all_nodes, initial_value)
-        node.stable.setdefault("prepared", {})       # txn_id -> Prepare
-        node.stable.setdefault("txn_outcomes", {})   # txn_id -> outcome
-        node.stable.setdefault("coord_committed", set())
-        node.stable.setdefault("coord_decisions", {})  # txn_id -> participants
         node.stable.setdefault("last_good", None)    # (version, good tuple)
         self._txn_ids = itertools.count(1)
         self._coteries = CompiledCoterieCache(coterie_rule)
@@ -88,7 +94,7 @@ class ReplicaServer:
             # latency scores the planner ranks candidates by
             rpc.latency_observer = self.liveness.observe_latency
         node.add_crash_hook(self.liveness.clear)
-        node.add_recover_hook(self._on_recover)
+        self.init_participant()
         # Observability (docs/OBSERVABILITY.md): staleness accounting and
         # the epoch-checker health watchdog, pre-bound for the hot paths.
         # _stale_since lives on the server (not volatile) on purpose: a
@@ -109,11 +115,6 @@ class ReplicaServer:
         serve("read-request", self._on_read_request)
         serve("epoch-check-request", self._on_epoch_check_request)
         serve("op-release", self._on_op_release)
-        serve("txn-prepare", self._on_prepare)
-        serve("txn-commit", self._on_commit)
-        serve("txn-abort", self._on_abort)
-        serve("txn-status", self._on_txn_status)
-        serve("txn-status-peer", self._on_txn_status_peer)
         serve("propagation-offer", self._on_propagation_offer)
         serve("propagation-data", self._on_propagation_data)
 
@@ -133,7 +134,6 @@ class ReplicaServer:
         # Replacing the whole object models an atomic stable-storage write.
         """The durable replica state (stable storage)."""
         self.node.stable["replica"] = new_state
-
 
     def _response(self, include_value: bool = False) -> StateResponse:
         response = self.state.response(self.name, include_value=include_value)
@@ -180,34 +180,12 @@ class ReplicaServer:
     def _trace(self, kind: str, **detail: Any) -> None:
         self.node.trace.record(self.env.now, kind, self.name, **detail)
 
-    # -- volatile bookkeeping ----------------------------------------------------
-    @property
-    def _op_locks(self) -> dict:
-        return self.node.volatile.setdefault("op_locks", {})
+    # -- participant hooks (locking and 2PC live in TwoPhaseParticipant) --------
+    def _lock(self, resource):
+        return self.lock
 
-    @property
-    def _prepared_ops(self) -> set:
-        return self.node.volatile.setdefault("prepared_ops", set())
-
-    # -- lock helpers --------------------------------------------------------------
-    def _acquire(self, owner: str, shared: bool = False,
-                 wait: Optional[float] = None):
-        """Generator: try to acquire the replica lock; returns bool."""
-        return (yield from acquire_within(
-            self.env, self.lock, owner, shared,
-            self.config.lock_wait if wait is None else wait))
-
-    def _release_op(self, op_id: str) -> None:
-        self.lock.release(op_id)
-        self._op_locks.pop(op_id, None)
-        self._prepared_ops.discard(op_id)
-
-    def _lease_watchdog(self, op_id: str):
-        """Reclaim a poll-granted lock whose coordinator went silent."""
-        yield self.env.timeout(self.config.lock_lease)
-        if op_id in self._op_locks and op_id not in self._prepared_ops:
-            self._trace("lock-lease-expired", op_id=op_id)
-            self._release_op(op_id)
+    def _resources_of(self, command) -> tuple[str, ...]:
+        return (REPLICA,)
 
     # -- overload shedding ------------------------------------------------------
     def _shed(self):
@@ -247,39 +225,16 @@ class ReplicaServer:
         if shed is not None:
             return shed
         def handle():
-            if op_id in self._op_locks:
-                # Heavy-procedure re-poll from the same operation.
-                return self._response()
-            acquiring = self.node.volatile.setdefault("op_acquiring", set())
-            if op_id in acquiring:
-                # a duplicate poll while the first is still queued for the
-                # lock (possible when lock_wait exceeds the poll window in
-                # custom configs): answer BUSY instead of double-queueing
-                return BUSY
-            acquiring.add(op_id)
-            self._poll_started()
-            try:
-                ok = yield from self._acquire(op_id)
-            finally:
-                self._poll_finished()
-                self.node.volatile.setdefault("op_acquiring",
-                                              set()).discard(op_id)
-            released = self.node.volatile.setdefault("op_released_early",
-                                                     set())
-            if not ok:
-                released.discard(op_id)
-                return BUSY
-            if op_id in released:
-                # the coordinator's op-release overtook this handler while
-                # it was queued for the lock; honor it now instead of
-                # custodying a grant nobody will ever use
-                released.discard(op_id)
-                self.lock.release(op_id)
-                return BUSY
-            self._op_locks[op_id] = True
-            self.node.spawn(self._lease_watchdog(op_id),
-                            name=f"lease-{op_id}")
-            return self._response()
+            # a re-poll or duplicate is answered at once: only a poll that
+            # queues for the lock counts toward the shed limit's depth
+            held = self._custody_settled(op_id)
+            if held is None:
+                self._poll_started()
+                try:
+                    held = yield from self._take_custody(REPLICA, op_id)
+                finally:
+                    self._poll_finished()
+            return self._response() if held else BUSY
         return handle()
 
     def _on_read_request(self, src: str, args):
@@ -290,7 +245,7 @@ class ReplicaServer:
         def handle():
             self._poll_started()
             try:
-                ok = yield from self._acquire(op_id, shared=True)
+                ok = yield from self._acquire(REPLICA, op_id, shared=True)
             finally:
                 self._poll_finished()
             if not ok:
@@ -308,19 +263,7 @@ class ReplicaServer:
         self._m_last_check.set(self.env.now)
         return self._response()
 
-    def _on_op_release(self, src: str, op_id: str) -> str:
-        if op_id in self._op_locks and op_id not in self._prepared_ops:
-            self._release_op(op_id)
-        elif op_id in self.node.volatile.get("op_acquiring", set()):
-            # the release raced ahead of a write poll still queued on the
-            # lock: withdraw the queued request and leave a tombstone so
-            # an already-fired grant is relinquished, not custodied
-            self.node.volatile.setdefault("op_released_early",
-                                          set()).add(op_id)
-            self.lock.cancel(op_id)
-        return "ok"
-
-    # -- two-phase commit: participant side ------------------------------------
+    # -- 2PC command semantics (the participant protocol is the mixin's) ------
     def _snapshot_matches(self, expected: Optional[dict]) -> bool:
         if expected is None:
             return True
@@ -329,80 +272,6 @@ class ReplicaServer:
                   "stale": state.stale, "enumber": state.epoch_number}
         return all(actual.get(key) == value for key, value in expected.items())
 
-    def _on_prepare(self, src: str, prepare: Prepare):
-        def handle():
-            # Protocol-level dedup by txn_id (stable, so it also covers
-            # duplicates re-delivered after this node crashed and lost the
-            # RPC layer's volatile at-most-once cache): a transaction that
-            # was already decided here must not be re-prepared -- re-vote
-            # consistently with the recorded outcome instead.
-            outcome = self.node.stable["txn_outcomes"].get(prepare.txn_id)
-            if outcome is not None:
-                return "yes" if outcome == "committed" else "no"
-            if prepare.txn_id in self.node.stable["prepared"]:
-                return "yes"   # already prepared: repeat the yes vote
-            if prepare.op_id in self._op_locks:
-                if not self._snapshot_matches(prepare.expected_snapshot):
-                    return "no"
-            else:
-                # Not pre-locked (epoch install, or a safety-threshold
-                # extra): acquire now and validate the expected snapshot.
-                if prepare.expected_snapshot is None:
-                    return "no"   # poll lock lease expired
-                ok = yield from self._acquire(prepare.op_id)
-                if not ok:
-                    return "no"
-                self._op_locks[prepare.op_id] = True
-                if not self._snapshot_matches(prepare.expected_snapshot):
-                    self._release_op(prepare.op_id)
-                    return "no"
-            self.node.stable["prepared"][prepare.txn_id] = prepare
-            self._prepared_ops.add(prepare.op_id)
-            self._trace("txn-prepared", txn_id=prepare.txn_id,
-                        op_id=prepare.op_id,
-                        coordinator=prepare.coordinator)
-            self.node.spawn(self._await_decision(prepare.txn_id),
-                            name=f"await-{prepare.txn_id}")
-            return "yes"
-        return handle()
-
-    def _on_commit(self, src: str, txn_id: str) -> str:
-        self._commit_txn(txn_id)
-        return "ack"
-
-    def _on_abort(self, src: str, txn_id: str) -> str:
-        self._abort_txn(txn_id)
-        return "ack"
-
-    def _commit_txn(self, txn_id: str) -> None:
-        prepare = self.node.stable["prepared"].pop(txn_id, None)
-        if prepare is None:
-            return  # duplicate decision; idempotent
-        self._apply_command(prepare.command)
-        self.node.stable["txn_outcomes"][txn_id] = "committed"
-        self._release_op(prepare.op_id)
-        command = prepare.command
-        if isinstance(command, (ApplyWrite, ReplaceValue)):
-            # value-changing applies get their own record: the sanitizer's
-            # happens-before tracker keys on (keys, version) to detect
-            # conflicting applies no message chain orders
-            keys = (tuple(sorted(command.updates))
-                    if isinstance(command, ApplyWrite)
-                    else tuple(sorted(command.value)))
-            self._trace("state-apply", txn_id=txn_id, op_id=prepare.op_id,
-                        keys=keys, version=command.new_version)
-        self._trace("txn-commit", txn_id=txn_id,
-                    command=type(prepare.command).__name__)
-        self._post_commit(prepare.command)
-
-    def _abort_txn(self, txn_id: str) -> None:
-        prepare = self.node.stable["prepared"].pop(txn_id, None)
-        if prepare is None:
-            return
-        self.node.stable["txn_outcomes"][txn_id] = "aborted"
-        self._release_op(prepare.op_id)
-        self._trace("txn-abort", txn_id=txn_id)
-
     def _mark_stale_metrics(self) -> None:
         """Open a staleness episode (first mark only; re-marks that bump
         the desired version extend the same episode)."""
@@ -410,7 +279,8 @@ class ReplicaServer:
         if self._stale_since is None:
             self._stale_since = self.env.now
 
-    def _apply_command(self, command) -> None:
+    def _apply(self, prepare: Prepare) -> None:
+        command = prepare.command
         if isinstance(command, ApplyWrite):
             self.state = self.state.applied(command.updates,
                                             command.new_version,
@@ -455,6 +325,16 @@ class ReplicaServer:
             self.node.stable["epoch_history"] = history
         else:
             raise TypeError(f"unknown command {command!r}")
+        if isinstance(command, (ApplyWrite, ReplaceValue)):
+            # value-changing applies get their own record: the sanitizer's
+            # happens-before tracker keys on (keys, version) to detect
+            # conflicting applies no message chain orders
+            keys = (tuple(sorted(command.updates))
+                    if isinstance(command, ApplyWrite)
+                    else tuple(sorted(command.value)))
+            self._trace("state-apply", txn_id=prepare.txn_id,
+                        op_id=prepare.op_id, keys=keys,
+                        version=command.new_version)
 
     def _post_commit(self, command) -> None:
         from repro.core.propagation import propagate  # avoid import cycle
@@ -465,74 +345,6 @@ class ReplicaServer:
             stale_nodes = command.stale
         if stale_nodes and not self.state.stale:
             self.node.spawn(propagate(self, stale_nodes), name="propagate")
-
-    # -- two-phase commit: termination and recovery ----------------------------
-    def _await_decision(self, txn_id: str):
-        yield self.env.timeout(self.config.prepared_wait)
-        yield from self._terminate(txn_id)
-
-    def _terminate(self, txn_id: str):
-        """Cooperative termination for an undecided prepared transaction."""
-        while txn_id in self.node.stable["prepared"]:
-            prepare: Prepare = self.node.stable["prepared"][txn_id]
-            status = yield self.rpc.call(prepare.coordinator, "txn-status",
-                                         txn_id,
-                                         timeout=self.config.rpc_timeout)
-            if status == "committed":
-                self._commit_txn(txn_id)
-                return
-            if status == "aborted":
-                self._abort_txn(txn_id)
-                return
-            if status is CALL_FAILED:
-                # coordinator unreachable: ask the other participants
-                for peer in prepare.participants:
-                    if peer == self.name:
-                        continue
-                    peer_view = yield self.rpc.call(
-                        peer, "txn-status-peer", txn_id,
-                        timeout=self.config.rpc_timeout)
-                    if peer_view == "committed":
-                        self._commit_txn(txn_id)
-                        return
-                    if peer_view == "aborted":
-                        self._abort_txn(txn_id)
-                        return
-            # "pending" or no information: classic 2PC blocking; retry.
-            yield self.env.timeout(self.config.termination_retry)
-
-    def _on_txn_status(self, src: str, txn_id: str) -> str:
-        """Coordinator-side status (presumed abort)."""
-        if txn_id in self.node.volatile.get("coord_active", set()):
-            return "pending"
-        if txn_id in self.node.stable["coord_committed"]:
-            return "committed"
-        return "aborted"
-
-    def _on_txn_status_peer(self, src: str, txn_id: str) -> str:
-        outcome = self.node.stable["txn_outcomes"].get(txn_id)
-        if outcome:
-            return outcome
-        if txn_id in self.node.stable["prepared"]:
-            return "prepared"
-        return "unknown"
-
-    def _on_recover(self) -> None:
-        # Re-acquire locks for prepared transactions *before* any new
-        # request can sneak in, then resolve them via termination.
-        for txn_id, prepare in self.node.stable["prepared"].items():
-            self.lock.acquire(prepare.op_id)  # empty lock: granted now
-            self._op_locks[prepare.op_id] = True
-            self._prepared_ops.add(prepare.op_id)
-            self.node.spawn(self._terminate(txn_id),
-                            name=f"recover-{txn_id}")
-        # Coordinator side: re-announce commit decisions whose commit wave
-        # was never fully acknowledged, so participants blocked on this
-        # coordinator resolve without waiting for their next status poll.
-        from repro.core.twophase import rebroadcast_decisions
-        if self.node.stable.get("coord_decisions"):
-            self.node.spawn(rebroadcast_decisions(self),
-                            name="rebroadcast-decisions")
 
     # -- propagation: target side (PropagateResponse) ---------------------------
     def _on_propagation_offer(self, src: str, offer: PropagationOffer):
@@ -548,7 +360,7 @@ class ReplicaServer:
             # duplicate (an error).  With unique owners the second simply
             # queues and re-checks staleness once it gets the lock.
             owner = f"recover:{offer.source}@{self.env.now:.9f}"
-            ok = yield from self._acquire(owner)
+            ok = yield from self._acquire(REPLICA, owner)
             if not ok:
                 return "already-recovering"
             state = self.state  # re-check under the lock

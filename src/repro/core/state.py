@@ -7,11 +7,16 @@ updated partially by writes) and a bounded *update log* that lets
 propagation ship only missing updates instead of the whole value.
 
 Everything here lives in the node's stable storage and survives crashes.
+
+:class:`ReplicaState` is the single-item replica's state, epoch
+included.  :class:`ItemState` is the per-item part alone, for the keyed
+store (:mod:`repro.shard`), where the epoch lives once per shard -- the
+paper's Section 2 group of items under one epoch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.core.messages import StateResponse
@@ -116,6 +121,59 @@ class ReplicaState:
             return None
         versions = [v for v, _u in needed]
         if versions != list(range(after_version + 1, self.version + 1)):
+            return None
+        return tuple(needed)
+
+
+@dataclass(frozen=True)
+class ItemState:
+    """Durable per-item state (the per-item part of Section 4's replica
+    state; the epoch part lives once per group of items)."""
+
+    value: dict = field(default_factory=dict)
+    version: int = 0
+    dversion: int = 0
+    stale: bool = False
+    update_log: tuple[tuple[int, dict], ...] = ()
+
+    def applied(self, updates: dict, new_version: int,
+                capacity: int) -> "ItemState":
+        """State after applying a partial write at ``new_version``."""
+        if new_version != self.version + 1:
+            raise ValueError(f"non-contiguous write: {self.version} -> "
+                             f"{new_version}")
+        value = dict(self.value)
+        value.update(updates)
+        log = self.update_log + ((new_version, dict(updates)),)
+        if capacity and len(log) > capacity:
+            log = log[len(log) - capacity:]
+        return ItemState(value=value, version=new_version,
+                         dversion=self.dversion, stale=False,
+                         update_log=log)
+
+    def marked_stale(self, dversion: int) -> "ItemState":
+        """State after a mark-stale with the given desired version."""
+        return replace(self, stale=True,
+                       dversion=max(dversion, self.dversion))
+
+    def caught_up(self, value: dict, version: int,
+                  update_log: tuple) -> "ItemState":
+        """State after propagation brought this replica up to date."""
+        if version < self.dversion:
+            raise ValueError(f"catch-up to v{version} below desired "
+                             f"v{self.dversion}")
+        return ItemState(value=dict(value), version=version,
+                         dversion=self.dversion, stale=False,
+                         update_log=update_log)
+
+    def log_slice(self, after_version: int) -> Optional[tuple]:
+        """Log entries covering ``(after_version, version]``, or None."""
+        needed = [entry for entry in self.update_log
+                  if entry[0] > after_version]
+        if len(needed) != self.version - after_version:
+            return None
+        if [v for v, _u in needed] != list(range(after_version + 1,
+                                                 self.version + 1)):
             return None
         return tuple(needed)
 

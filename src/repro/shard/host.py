@@ -1,8 +1,11 @@
 """Shard-local replica logic: one server hosting many shards.
 
-A :class:`ShardHost` is the sharded keyspace's counterpart of
-:class:`~repro.core.multistore.MultiReplicaServer`.  The differences are
-all about scale:
+A :class:`ShardHost` is the keyed counterpart of the single-item
+:class:`~repro.core.replica.ReplicaServer`: the Section 4 replica run
+per key, with one epoch per *shard* -- the paper's Section 2 group of
+data items "replicated on the same set of nodes", whose "epoch
+management can be done per this whole group".  A one-shard store is
+exactly that group epoch.  The rest is all about scale:
 
 * **per-shard epochs** -- ``node.stable["sh_epochs"]`` maps shard ->
   (elist, enumber).  A shard with no entry is implicitly at epoch 0,
@@ -23,7 +26,7 @@ all about scale:
   ``_after_release`` hook of the 2PC mixin), so a million-key node
   holds locks proportional to *concurrent* operations only.
 
-Locking and the presumed-abort 2PC participant come from
+Lock custody and the presumed-abort 2PC participant come from
 :class:`~repro.core.participant.TwoPhaseParticipant`; the compiled
 coterie cache is shared across every shard the node hosts and bounded
 by ``config.coterie_cache_capacity``.
@@ -42,8 +45,8 @@ from repro.core.messages import (
     PropagationOffer,
     StateResponse,
 )
-from repro.core.multistore import ItemState
 from repro.core.participant import TwoPhaseParticipant
+from repro.core.state import ItemState
 from repro.coteries.base import CoterieRule
 from repro.coteries.majority import MajorityCoterie
 from repro.coteries.planner import CompiledCoterieCache
@@ -78,7 +81,6 @@ class ShardHost(TwoPhaseParticipant):
         node.stable["sh_items"] = {}
         # shard -> count of stale keys; the "dirty" bit sweep triage uses
         node.stable["sh_stale"] = {}
-        self.init_participant_state()
         self._txn_ids = itertools.count(1)
         self._coteries = CompiledCoterieCache(
             coterie_rule, capacity=self.config.coterie_cache_capacity,
@@ -88,7 +90,7 @@ class ShardHost(TwoPhaseParticipant):
         node.add_crash_hook(self.liveness.clear)
         self._lock_table: dict[tuple[int, str], Any] = {}
         node.add_crash_hook(self._reset_locks)
-        node.add_recover_hook(self._on_recover)
+        self.init_participant()
 
         serve = rpc.serve
         serve("sh-write-request", self._on_write_request)
@@ -97,7 +99,6 @@ class ShardHost(TwoPhaseParticipant):
         serve("sh-sweep-request", self._on_sweep_request)
         serve("sh-reseed-request", self._on_reseed_request)
         serve("sh-op-release", self._on_op_release)
-        self.serve_txn_endpoints()
         serve("sh-propagation-offer", self._on_propagation_offer)
         serve("sh-propagation-data", self._on_propagation_data)
 
@@ -199,15 +200,8 @@ class ShardHost(TwoPhaseParticipant):
         shard, key, op_id = args
 
         def handle():
-            if op_id in self._op_locks:
-                return self._response(shard, key)
-            ok = yield from self._acquire((shard, key), op_id)
-            if not ok:
-                return BUSY
-            self._op_locks[op_id] = ((shard, key),)
-            self.node.spawn(self._lease_watchdog(op_id),
-                            name=f"lease-{op_id}")
-            return self._response(shard, key)
+            held = yield from self._take_custody((shard, key), op_id)
+            return self._response(shard, key) if held else BUSY
 
         return handle()
 
@@ -219,8 +213,7 @@ class ShardHost(TwoPhaseParticipant):
             if not ok:
                 return BUSY
             response = self._response(shard, key, include_value=True)
-            self._lock((shard, key)).release(op_id)
-            self._after_release((shard, key))
+            self._release((shard, key), op_id)
             return response
 
         return handle()
@@ -279,11 +272,6 @@ class ShardHost(TwoPhaseParticipant):
             self.metrics.counter("propagation_reseeded").inc(count)
         return "ok"
 
-    def _on_op_release(self, src: str, op_id: str) -> str:
-        if op_id in self._op_locks and op_id not in self._prepared_ops:
-            self._release_op(op_id)
-        return "ok"
-
     # -- 2PC command semantics (the participant protocol is the mixin's) ------
     def _snapshot_matches(self, expected: Optional[dict]) -> bool:
         if expected is None:
@@ -300,7 +288,8 @@ class ShardHost(TwoPhaseParticipant):
                 return False
         return True
 
-    def _apply(self, command) -> None:
+    def _apply(self, prepare) -> None:
+        command = prepare.command
         capacity = self.config.update_log_capacity
         if isinstance(command, ShApplyWrite):
             self.set_item_state(
@@ -339,7 +328,7 @@ class ShardHost(TwoPhaseParticipant):
                         self._propagate(command.shard, key, stale),
                         name=f"sh-prop-{command.shard}/{key}")
 
-    # -- propagation (per shard+key; same protocol as the multi-item store) ---
+    # -- propagation (per shard+key; the Section 4 protocol of core/) ---------
     def _propagate(self, shard: int, key: str, stale_nodes: Iterable[str]):
         from repro.sim.rpc import CALL_FAILED
         pending = {name: 0 for name in stale_nodes if name != self.name}
@@ -404,8 +393,7 @@ class ShardHost(TwoPhaseParticipant):
                 return "already-recovering"
             state = self.item_state(shard, key)
             if not (state.stale and state.dversion <= offer.version):
-                self._lock(resource).release(owner)
-                self._after_release(resource)
+                self._release(resource, owner)
                 return "i-am-current"
             recovering[resource] = owner
             self.node.spawn(self._permit_lease(resource, owner),
@@ -419,8 +407,7 @@ class ShardHost(TwoPhaseParticipant):
         recovering = self.node.volatile.setdefault("sh_recovering", {})
         if recovering.get(resource) == owner:
             recovering.pop(resource, None)
-            self._lock(resource).release(owner)
-            self._after_release(resource)
+            self._release(resource, owner)
 
     def _on_propagation_data(self, src: str, args) -> str:
         shard, key, data = args
@@ -455,6 +442,5 @@ class ShardHost(TwoPhaseParticipant):
             return "rejected"
         finally:
             recovering.pop(resource, None)
-            self._lock(resource).release(owner)
-            self._after_release(resource)
+            self._release(resource, owner)
         return "done"

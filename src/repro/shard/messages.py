@@ -1,9 +1,10 @@
 """2PC commands of the sharded keyspace.
 
-Mirrors :mod:`repro.core.multistore`'s per-item commands, with two
-differences: every command names its *shard* (epoch state is per shard,
-not per node group), and the install's marking table is keyed by the
-shard's *keys* (the union of keys any poll responder reported -- see
+The keyed counterparts of :mod:`repro.core.messages`' single-item
+commands: every command names its *shard* (epoch state is per shard --
+a shard is a group of keys under one epoch) and its key, and the
+install's marking table is keyed by the shard's *keys* (the union of
+keys any poll responder reported -- see
 :func:`repro.shard.sweep.check_shard_epoch` for why the union is the
 safe set).
 """

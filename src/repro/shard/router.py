@@ -83,7 +83,7 @@ class ShardRouter:
             key, "read", lambda: self._read_once(shard, key), None)
         return result
 
-    # -- retry scaffolding (same shape as MultiItemCoordinator) ---------------
+    # -- retry scaffolding (same shape as core.coordinator's) ------------------
     def _with_retries(self, key: str, kind: str, factory, updates):
         host = self.host
         record = None

@@ -6,10 +6,13 @@ stack per cluster member, and (optionally) one
 :class:`~repro.shard.sweep.ShardSweeper` per node so a single elected
 initiator amortizes epoch checking over every shard.
 
-The keyed API mirrors :class:`~repro.core.multistore.MultiItemStore`'s
-item API: ``write(key, updates)`` / ``read(key)`` run one operation to
+``write(key, updates)`` / ``read(key)`` run one operation to
 completion; ``start_write`` / ``start_read`` return the spawned process
-so benchmarks can keep many operations in flight.  History recording is
+so benchmarks can keep many operations in flight.  A shard is the
+paper's Section 2 group of data items under one epoch, so group epoch
+management is the one-shard store: ``ShardedStore.create(n, n_shards=1,
+replication=n, coterie_rule=GridCoterie)`` and ``check_shard(0)`` -- one
+poll per node however many keys the group holds.  History recording is
 off by default (a million-operation run must not retain a million
 histories); tests that want the one-copy-serializability verdict pass
 ``track_history=True`` and call :meth:`verify`.
@@ -146,27 +149,32 @@ class ShardedStore:
         return self.map.shard_of(key)
 
     # -- epoch service ---------------------------------------------------------
+    def _check(self, via: Optional[str], retries: int, check):
+        """Run ``check(host)`` on one node to completion, again (after
+        letting the conflicting operation drain) while its install
+        transaction aborts and *retries* remain."""
+        name = self._via(via)
+        while True:
+            result = self.join(self.nodes[name].spawn(
+                check(self.hosts[name])))[0]
+            if result.ok or result.reason != "install-aborted" \
+                    or not retries:
+                return result
+            retries -= 1
+            self.advance(2 * self.config.rpc_timeout)
+
     def sweep(self, via: Optional[str] = None,
               retries: int = 3) -> SweepResult:
         """Run one batched epoch sweep over every shard (with install
-        retries, mirroring ``MultiItemStore.check_epoch``)."""
-        name = self._via(via)
-        result = self.join(self.nodes[name].spawn(
-            sweep_epochs(self.hosts[name])))[0]
-        while not result.ok and result.reason == "install-aborted" \
-                and retries:
-            retries -= 1
-            self.advance(2 * self.config.rpc_timeout)
-            result = self.join(self.nodes[name].spawn(
-                sweep_epochs(self.hosts[name])))[0]
-        return result
+        retries)."""
+        return self._check(via, retries, sweep_epochs)
 
-    def check_shard(self, shard: int,
-                    via: Optional[str] = None) -> EpochCheckResult:
-        """Run one epoch check scoped to a single shard."""
-        name = self._via(via)
-        return self.join(self.nodes[name].spawn(
-            check_shard_epoch(self.hosts[name], shard)))[0]
+    def check_shard(self, shard: int, via: Optional[str] = None,
+                    retries: int = 3) -> EpochCheckResult:
+        """Run one epoch check scoped to a single shard (with install
+        retries)."""
+        return self._check(via, retries,
+                           lambda host: check_shard_epoch(host, shard))
 
     # -- rebalancing -----------------------------------------------------------
     def migrate(self, shard: int, new_replicas: Sequence[str],
@@ -181,18 +189,10 @@ class ShardedStore:
         only current copy of some key; the next sweep completes the
         move once propagation has healed the newcomers.
         """
-        name = self._via(via)
         hint = self.current_epoch(shard)[0]
         self.map.move(shard, tuple(sorted(new_replicas)))
-        result = self.join(self.nodes[name].spawn(check_shard_epoch(
-            self.hosts[name], shard, tag="-shmove", hint=hint)))[0]
-        while not result.ok and result.reason == "install-aborted" \
-                and retries:
-            retries -= 1
-            self.advance(2 * self.config.rpc_timeout)
-            result = self.join(self.nodes[name].spawn(check_shard_epoch(
-                self.hosts[name], shard, tag="-shmove", hint=hint)))[0]
-        return result
+        return self._check(via, retries, lambda host: check_shard_epoch(
+            host, shard, tag="-shmove", hint=hint))
 
     def rebalance(self, factor: float = 4.0, min_ops: int = 100,
                   limit: int = 4) -> list[tuple[int, tuple[str, ...]]]:

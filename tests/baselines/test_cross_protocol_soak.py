@@ -1,7 +1,7 @@
 """Randomized fault soaks for every protocol variant in the repository.
 
 The dynamic store already has its own soak; these drive the baselines and
-the multi-item store through random crash/recover/operation interleavings
+the group-epoch (one-shard) store through random crash/recover/operation interleavings
 and verify one-copy serializability of everything observed.
 """
 
@@ -12,7 +12,9 @@ import pytest
 from repro.baselines.dynamic_voting import DynamicVotingStore
 from repro.baselines.static_protocol import StaticQuorumStore
 from repro.baselines.witnesses import WitnessVotingStore
-from repro.core.multistore import MultiItemStore
+from repro.coteries.grid import GridCoterie
+from repro.shard.store import ShardedStore
+from repro.shard.sweep import check_shard_epoch
 
 
 def drive(store, rng, steps, min_up, write_fn, read_fn):
@@ -97,7 +99,10 @@ class TestWitnessSoak:
 class TestMultiItemSoak:
     @pytest.mark.parametrize("seed", [10, 11])
     def test_group_store_soak(self, seed):
-        store = MultiItemStore.create(9, 3, seed=seed)
+        # a group of items under one epoch is the one-shard store
+        store = ShardedStore.create(9, n_shards=1, replication=9, seed=seed,
+                                    coterie_rule=GridCoterie,
+                                    track_history=True)
         rng = random.Random(seed)
         names = list(store.node_names)
         counter = 0
@@ -111,10 +116,9 @@ class TestMultiItemSoak:
             item = f"item{rng.randrange(3)}"
             if action < 0.4:
                 counter += 1
-                store.nodes[via].spawn(
-                    store.coordinators[via].write(item, {"k": counter}))
+                store.start_write(item, {"k": counter}, via=via)
             elif action < 0.6:
-                store.nodes[via].spawn(store.coordinators[via].read(item))
+                store.start_read(item, via=via)
             elif action < 0.75 and len(up) > 5:
                 store.crash(rng.choice(up))
             elif action < 0.9:
@@ -122,12 +126,11 @@ class TestMultiItemSoak:
                 if down:
                     store.recover(rng.choice(down))
             else:
-                from repro.core.multistore import check_group_epoch
                 store.nodes[via].spawn(
-                    check_group_epoch(store.servers[via]))
+                    check_shard_epoch(store.hosts[via], 0))
             store.advance(rng.uniform(0.1, 1.5))
         store.recover(*[n for n in names if not store.nodes[n].up])
         store.advance(20)
-        store.check_epoch()
+        store.check_shard(0)
         store.settle()
         store.verify()

@@ -7,7 +7,7 @@ from repro.chaos.faults import LinkFaults
 from repro.core.config import ProtocolConfig
 from repro.core.coordinator import _busy_hint
 from repro.core.liveness import LATENCY_ALPHA, LivenessView
-from repro.core.messages import Busy, StateResponse
+from repro.core.messages import BUSY, Busy, StateResponse
 from repro.core.store import ReplicatedStore
 from repro.coteries import GridCoterie
 from repro.coteries.planner import plan_quorum
@@ -138,6 +138,35 @@ class TestOverloadShedding:
         server = store.servers["n00"]
         server.node.volatile["inflight_polls"] = 10_000
         assert server._shed() is None
+
+    def test_only_a_poll_that_queues_counts_toward_the_depth(self):
+        # a heavy-procedure re-poll and a duplicate of a queued poll are
+        # answered without a lock wait: neither may move the in-flight
+        # counter (and the queue-depth gauge) the shed limit reads
+        store = ReplicatedStore.create(3, seed=1)
+        server = store.servers["n00"]
+        counted = []
+        started = server._poll_started
+        server._poll_started = lambda: (counted.append(1), started())
+
+        def poll(op_id, answers):
+            def client():
+                answers.append((yield store.servers["n01"].rpc.call(
+                    "n00", "write-request", op_id,
+                    timeout=store.config.rpc_timeout)))
+            return store.nodes["n01"].spawn(client())
+
+        first, again, queued, duplicate = [], [], [], []
+        store.join(poll("op-a", first))
+        store.join(poll("op-a", again))           # re-poll by the holder
+        assert isinstance(again[0], StateResponse) and len(counted) == 1
+        waiting = poll("op-b", queued)            # queues behind op-a
+        store.advance(0.05)
+        store.join(poll("op-b", duplicate))
+        assert duplicate == [BUSY] and not queued and len(counted) == 2
+        server._on_op_release("n01", "op-a")
+        store.join(waiting)
+        assert server.node.volatile["inflight_polls"] == 0
 
     def test_busy_hint_picks_the_largest(self):
         responses = {"n1": Busy(retry_after=0.3),

@@ -10,6 +10,7 @@ races the timer, gives up at ``lock_wait`` and withdraws.
 import pytest
 
 from repro.core.participant import acquire_within
+from repro.core.replica import REPLICA
 from repro.core.store import ReplicatedStore
 from repro.shard.store import ShardedStore
 from repro.sim.engine import Environment
@@ -150,8 +151,9 @@ class TestBothStacksUseIt:
         got = []
 
         def body():
-            got.append((yield from server._acquire("op-a")))
-            got.append((yield from server._acquire("op-b", wait=0.25)))
+            got.append((yield from server._acquire(REPLICA, "op-a")))
+            got.append((yield from server._acquire(REPLICA, "op-b",
+                                                   wait=0.25)))
 
         process = env.process(body())
         env.step()

@@ -24,11 +24,21 @@ found, the coordinator adds additional known-good replicas (from the
 ``last_good`` list recorded at the previous write) to the write set --
 without polling them first, exactly as the paper describes; their prepares
 validate that they are still current.
+
+This is the only implementation of that path, and it is item-addressed:
+what depends on the data item alone is asked of a small overridable
+method (``_registry``, ``_history``, ``_epoch_list``, ``_new_op``,
+``_poll_request``, ``release_method``, ``_heavy_targets``,
+``_write_command``, ``_learn``).  The answers below are the single-item
+store's, whose one item is ``None``; the keyed store's
+:class:`~repro.shard.router.ShardRouter` subclasses :class:`Coordinator`
+and answers for a ``(shard, key)``.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Iterable, Mapping, Optional
 
 from repro.core.messages import (
@@ -54,6 +64,9 @@ _MIX_WARMUP_OPS = 8
 class Coordinator:
     """Issues write and read operations from one replica node."""
 
+    #: RPC method with which a polled replica gives up this op's lock.
+    release_method = "op-release"
+
     def __init__(self, server: ReplicaServer,
                  history: Optional["History"] = None):
         self.server = server
@@ -61,7 +74,7 @@ class Coordinator:
         self._op_ids = itertools.count(1)
         # pre-bound metric objects: per-op recording must stay a handful
         # of attribute bumps (the throughput benchmark gates overhead)
-        metrics = server.metrics
+        metrics = self._metrics = self._registry()
         self._op_metrics = {
             kind: (metrics.histogram("op_latency", kind=kind),
                    metrics.counter("op_polls", kind=kind),
@@ -90,11 +103,43 @@ class Coordinator:
         """The owning node's name."""
         return self.server.name
 
-    def _new_op_id(self, kind: str) -> tuple[str, int]:
-        seq = next(self._op_ids)
-        return f"{self.name}:{kind}{seq}", seq
+    # -- what an item is (the single-item answers) -----------------------------
+    def _registry(self):
+        """The metrics registry the per-operation series live in."""
+        return self.server.metrics
 
-    # -- write ----------------------------------------------------------------
+    def _history(self, item) -> Optional["History"]:
+        """The history that records operations on *item*, or None."""
+        return self.history
+
+    def _epoch_list(self, item) -> tuple:
+        """The epoch list this node plans *item*'s quorums over."""
+        return self.server.state.epoch_list
+
+    def _new_op(self, kind: str, item) -> tuple[str, int, str]:
+        """A fresh attempt's ``(op_id, seq, salt)``: its identifier, and
+        the attempt number and salt of its quorum draws."""
+        seq = next(self._op_ids)
+        return f"{self.name}:{kind}{seq}", seq, self.name
+
+    def _poll_request(self, kind: str, item, op_id: str) -> tuple:
+        """The ``(method, args)`` every member of a poll wave is sent."""
+        return ("write-request" if kind == "write" else "read-request",
+                op_id)
+
+    def _write_command(self, item, current: bool, updates: dict,
+                       version: int, stale_nodes: tuple, known_good: tuple):
+        """One participant's 2PC command: apply the update on a *current*
+        replica, mark any other stale with desired version *version*."""
+        if current:
+            return ApplyWrite(dict(updates), version, stale_nodes,
+                              known_good)
+        return MarkStale(version, known_good)
+
+    def _learn(self, item, states: Mapping[str, StateResponse]) -> None:
+        """Hook: the state answers of one poll wave, before the decision."""
+
+    # -- the operation path ------------------------------------------------------
     def write(self, updates: dict):
         """Generator (node process): perform one partial write.
 
@@ -103,43 +148,67 @@ class Coordinator:
         each attempt re-picks its quorum, so retries also route around
         freshly failed nodes.
         """
-        record = self._start_record("write", f"{self.name}:w?",
-                                    updates=dict(updates))
-        self._mix["write"] += 1
-        started = self.server.env.now
+        return self._operate("write", None, updates)
+
+    def read(self):
+        """Generator (node process): perform one read (with retries, like
+        :meth:`write`)."""
+        return self._operate("read", None)
+
+    def _operate(self, kind: str, item, updates: Optional[dict] = None):
+        """Generator: one top-level operation on *item* -- its history
+        record, the retry loop over attempts, and the per-op metrics."""
+        env = self.server.env
+        history = self._history(item)
+        record = None
+        if history is not None:
+            record = history.start(
+                kind, f"{self.name}:{kind[0]}?", self.name, env.now,
+                updates=None if updates is None else dict(updates))
+        self._mix[kind] += 1
+        started = env.now
         result = yield from self._with_retries(
-            lambda: self._write_once(updates))
-        self._finish_record(record, result)
-        self._observe_op("write", started, result)
+            partial(self._write_once, item, updates) if kind == "write"
+            else partial(self._read_once, item))
+        if record is not None:
+            record.op_id = result.op_id or record.op_id
+            if result.case in ("degraded", "read-one"):
+                # degraded and read-one-tier reads promise bounded
+                # staleness, not freshness; the history checker
+                # validates them separately
+                record.kind = "read-degraded"
+            history.finish(record, env.now, result)
+        self._observe_op(kind, started, result)
         return result
 
-    def _write_once(self, updates: dict):
+    # -- write ----------------------------------------------------------------
+    def _write_once(self, item, updates: dict):
         server = self.server
-        op_id, seq = self._new_op_id("w")
+        op_id, seq, salt = self._new_op("w", item)
+        request = self._poll_request("write", item, op_id)
 
-        elist = server.state.epoch_list
+        elist = self._epoch_list(item)
         coterie = server.coterie_for(elist)
         strategy = self._strategy(coterie, elist)
-        quorum = self._plan_quorum(coterie, "write", seq, strategy)
-        responses = yield self._poll(coterie, "write", quorum, op_id)
+        quorum = self._plan_quorum(coterie, "write", salt, seq, strategy)
+        responses = yield self._poll(coterie, "write", quorum, request)
         # hedged waves may answer from spare nodes outside the planned
         # quorum; count every contacted node so aborts release them all
         polled = set(quorum) | set(responses)
         seen = dict(responses)
 
         self._raise_suspicion(responses)
-        result = yield from self._try_write(responses, updates, op_id,
+        result = yield from self._try_write(item, responses, updates, op_id,
                                             case="fast")
         if result is None:
-            # HeavyProcedure: poll everyone -- minus suspects, when the
-            # rest still contains a quorum -- (re-polls are answered from
-            # the locks already held by this op).
-            targets = self._heavy_targets(coterie, "write")
-            responses = yield self._poll(coterie, "write", targets, op_id)
+            # HeavyProcedure: poll every candidate (re-polls are answered
+            # from the locks already held by this op).
+            targets = self._heavy_targets(coterie, "write", item)
+            responses = yield self._poll(coterie, "write", targets, request)
             polled |= set(targets) | set(responses)
             seen.update(responses)
-            result = yield from self._try_write(responses, updates, op_id,
-                                                case="heavy")
+            result = yield from self._try_write(item, responses, updates,
+                                                op_id, case="heavy")
             if result is not None:
                 result.polls = 2
         if result is None:
@@ -162,14 +231,16 @@ class Coordinator:
             if server.config.chaos_bug != "stranded-lock":
                 participants = set(result.good) | set(result.stale)
                 for dst in sorted(polled - participants):
-                    server.rpc.call(dst, "op-release", op_id)
+                    server.rpc.call(dst, self.release_method, op_id)
         return result
 
-    def _try_write(self, responses, updates: dict, op_id: str, case: str):
+    def _try_write(self, item, responses, updates: dict, op_id: str,
+                   case: str):
         """Generator: one decision + commit attempt; None means fall through
         to the heavy procedure (or to the final abort)."""
         server = self.server
         states = _state_responses(responses)
+        self._learn(item, states)
         decision = _decide(server.coterie_for, states, kind="write")
         if decision is None:
             return None
@@ -177,22 +248,15 @@ class Coordinator:
 
         good_nodes = tuple(sorted(good))
         stale_nodes = tuple(sorted(stale))
-        extras = self._safety_extras(states, max_version,
-                                     good_nodes, stale_nodes)
-        commands: dict = {}
-        expected: dict = {}
-        for node in good_nodes:
-            commands[node] = ApplyWrite(dict(updates), max_version + 1,
-                                        stale_nodes,
-                                        good_nodes + tuple(extras))
-        for node in stale_nodes:
-            commands[node] = MarkStale(max_version + 1,
-                                       good_nodes + tuple(extras))
-        for node in extras:
-            commands[node] = ApplyWrite(dict(updates), max_version + 1,
-                                        stale_nodes,
-                                        good_nodes + tuple(extras))
-            expected[node] = {"version": max_version, "stale": False}
+        extras = tuple(self._safety_extras(states, max_version,
+                                           good_nodes, stale_nodes))
+        commands = {
+            node: self._write_command(item, node not in stale, updates,
+                                      max_version + 1, stale_nodes,
+                                      good_nodes + extras)
+            for node in good_nodes + stale_nodes + extras}
+        expected = {node: {"version": max_version, "stale": False}
+                    for node in extras}
 
         committed = yield from run_transaction(server, commands, op_id,
                                                expected=expected)
@@ -227,48 +291,40 @@ class Coordinator:
         return candidates[:threshold - len(good_nodes)]
 
     # -- read ------------------------------------------------------------------
-    def read(self):
-        """Generator (node process): perform one read (with retries, like
-        :meth:`write`)."""
-        record = self._start_record("read", f"{self.name}:r?")
-        self._mix["read"] += 1
-        started = self.server.env.now
-        result = yield from self._with_retries(lambda: self._read_once())
-        self._finish_record(record, result)
-        self._observe_op("read", started, result)
-        return result
-
-    def _read_once(self):
+    def _read_once(self, item):
         server = self.server
         config = server.config
-        op_id, seq = self._new_op_id("r")
+        op_id, seq, salt = self._new_op("r", item)
+        request = self._poll_request("read", item, op_id)
 
-        elist = server.state.epoch_list
+        elist = self._epoch_list(item)
         coterie = server.coterie_for(elist)
         strategy = self._strategy(coterie, elist)
         if strategy is not None and strategy.read_one_tier:
-            result = yield from self._read_one_tier(op_id, seq, strategy)
+            result = yield from self._read_one_tier(request, op_id, salt,
+                                                    seq, strategy)
             if result is not None:
                 return result
             # fall through: the optimized read-quorum distribution is
             # the tier's own fallback (sampled below via the strategy)
-        quorum = self._plan_quorum(coterie, "read", seq, strategy)
+        quorum = self._plan_quorum(coterie, "read", salt, seq, strategy)
         if config.degraded_reads and config.op_deadline > 0:
             predicted = max((server.liveness.latency_score(dst)
                              for dst in quorum), default=0.0)
             if predicted > config.op_deadline:
-                result = yield from self._degraded_read(op_id)
+                result = yield from self._degraded_read(coterie, item,
+                                                        request, op_id)
                 if result is not None:
                     return result
-        responses = yield self._poll(coterie, "read", quorum, op_id)
+        responses = yield self._poll(coterie, "read", quorum, request)
         seen = dict(responses)
         self._raise_suspicion(responses)
-        result = self._try_read(responses, op_id, case="fast")
+        result = self._try_read(item, responses, op_id, case="fast")
         if result is None:
-            targets = self._heavy_targets(coterie, "read")
-            responses = yield self._poll(coterie, "read", targets, op_id)
+            targets = self._heavy_targets(coterie, "read", item)
+            responses = yield self._poll(coterie, "read", targets, request)
             seen.update(responses)
-            result = self._try_read(responses, op_id, case="heavy")
+            result = self._try_read(item, responses, op_id, case="heavy")
             if result is not None:
                 result.polls = 2
         if result is None:
@@ -276,12 +332,13 @@ class Coordinator:
                                 polls=2, retry_after=_busy_hint(seen))
         return result
 
-    def _degraded_read(self, op_id: str):
+    def _degraded_read(self, coterie, item, request: tuple, op_id: str):
         """Generator: the cheap read tier.
 
         When the latency scores predict the full quorum would blow the
-        op deadline, ask the single fastest non-suspect replica and --
-        if it answers with a non-stale state -- return its value flagged
+        op deadline, ask the single fastest non-suspect replica (of the
+        heavy poll's candidates: the nodes that may hold the item) and
+        -- if it answers with a non-stale state -- return its value flagged
         ``case="degraded"``.  Bounded staleness: the value reflects some
         committed prefix of the write history (a non-stale replica has
         applied every write up to its version) but may trail the latest
@@ -291,14 +348,14 @@ class Coordinator:
         """
         server = self.server
         suspects = server.liveness.suspects()
-        candidates = [name for name in server.all_nodes
+        candidates = [name
+                      for name in self._heavy_targets(coterie, "read", item)
                       if name not in suspects]
         if not candidates:
             return None
         target = server.liveness.rank(candidates)[0]
         timeout = server.config.lock_wait + server.rpc.deadline_for(target)
-        response = yield server.rpc.call(target, "read-request", op_id,
-                                         timeout=timeout)
+        response = yield server.rpc.call(target, *request, timeout=timeout)
         if not isinstance(response, StateResponse) or response.stale:
             return None
         self._m_degraded.inc()
@@ -306,8 +363,9 @@ class Coordinator:
                           version=response.version, case="degraded",
                           op_id=op_id)
 
-    def _try_read(self, responses, op_id: str, case: str):
+    def _try_read(self, item, responses, op_id: str, case: str):
         states = _state_responses(responses)
+        self._learn(item, states)
         decision = _decide(self.server.coterie_for, states, kind="read")
         if decision is None:
             return None
@@ -326,8 +384,8 @@ class Coordinator:
         outcome = "ok" if result.ok else (result.case or "failed")
         counter = self._outcome_counters.get((kind, outcome))
         if counter is None:
-            counter = self.server.metrics.counter("ops", kind=kind,
-                                                  outcome=outcome)
+            counter = self._metrics.counter("ops", kind=kind,
+                                            outcome=outcome)
             self._outcome_counters[(kind, outcome)] = counter
         counter.inc()
 
@@ -357,7 +415,8 @@ class Coordinator:
             coterie, fraction, allow_read_one=full,
             force_read_one=(mode == "read-dominant" and full))
 
-    def _read_one_tier(self, op_id: str, seq: int, strategy):
+    def _read_one_tier(self, request: tuple, op_id: str, salt: str,
+                       seq: int, strategy):
         """Generator: the read-dominant fast tier (Kumar & Agarwal).
 
         With the write strategy covering *all* nodes, any single
@@ -373,13 +432,12 @@ class Coordinator:
         """
         server = self.server
         target = strategy.pick_read_replica(
-            avoid=server.liveness.suspects(), salt=self.name, attempt=seq)
+            avoid=server.liveness.suspects(), salt=salt, attempt=seq)
         if target is None:
             self._m_read_one["fallback"].inc()
             return None
         timeout = server.config.lock_wait + server.rpc.deadline_for(target)
-        response = yield server.rpc.call(target, "read-request", op_id,
-                                         timeout=timeout)
+        response = yield server.rpc.call(target, *request, timeout=timeout)
         if (isinstance(response, StateResponse) and not response.stale
                 and response.enumber == server.state.epoch_number):
             self._m_read_one["ok"].inc()
@@ -389,7 +447,7 @@ class Coordinator:
         self._m_read_one["fallback"].inc()
         return None
 
-    def _plan_quorum(self, coterie, kind: str, seq: int,
+    def _plan_quorum(self, coterie, kind: str, salt: str, seq: int,
                      strategy=None) -> list:
         """The quorum to poll: the liveness-aware plan, or the blind
         salted draw with the planner disabled.  With nothing suspected
@@ -403,9 +461,9 @@ class Coordinator:
         server = self.server
         planner = server.config.quorum_planner
         if strategy is None and not planner:
-            return (coterie.write_quorum(salt=self.name, attempt=seq)
+            return (coterie.write_quorum(salt=salt, attempt=seq)
                     if kind == "write"
-                    else coterie.read_quorum(salt=self.name, attempt=seq))
+                    else coterie.read_quorum(salt=salt, attempt=seq))
         avoid = server.liveness.suspects() if planner else frozenset()
         if avoid:
             self._op_metrics[kind][3].inc()
@@ -414,12 +472,12 @@ class Coordinator:
         if strategy is not None:
             self._m_strategy_samples[kind].inc()
         return plan_quorum(coterie, kind, avoid=avoid,
-                           salt=self.name, attempt=seq, scores=scores,
+                           salt=salt, attempt=seq, scores=scores,
                            strategy=strategy)
 
-    def _poll(self, coterie, kind: str, targets, op_id: str):
-        """One poll wave over *targets* with the gray-failure options
-        applied when configured: per-destination adaptive deadlines,
+    def _poll(self, coterie, kind: str, targets, request: tuple):
+        """One poll wave sending *request* to *targets*, with the
+        gray-failure options applied when configured: adaptive deadlines,
         hedged backup requests to planner-ranked spares, and early
         completion once the responses already decide the operation.
         With both features off this is exactly the fixed-timeout
@@ -427,8 +485,7 @@ class Coordinator:
         answering BUSY, so deadlines always add that slack)."""
         server = self.server
         config = server.config
-        method = "write-request" if kind == "write" else "read-request"
-        requests = {dst: (method, op_id) for dst in targets}
+        requests = {dst: request for dst in targets}
         timeout = config.lock_wait + config.rpc_timeout
         if not (config.adaptive_timeouts or config.hedge_requests):
             return gather(server.rpc, requests, timeout=timeout)
@@ -446,7 +503,7 @@ class Coordinator:
                 # at-most-once cache keeps the duplicate harmless).
                 hedge = HedgePolicy(
                     spares=spares,
-                    request=(method, op_id),
+                    request=request,
                     delays={dst: rpc.hedge_delay_for(dst)
                             for dst in targets},
                     deadlines={dst: config.lock_wait + rpc.deadline_for(dst)
@@ -471,13 +528,14 @@ class Coordinator:
                       if name not in polled and not liveness.is_suspect(name)]
         return tuple(liveness.rank(candidates))
 
-    def _heavy_targets(self, coterie, kind: str) -> tuple:
+    def _heavy_targets(self, coterie, kind: str, item) -> tuple:
         """The HeavyProcedure poll set: all nodes, minus current suspects
         whenever the remainder still contains a quorum of the current
         coterie.  Suspicion can be wrong, so exclusion is never allowed
         to cost availability: if the unsuspected nodes cannot form a
         quorum, everyone is polled (and a wrongly excluded node is
-        re-polled after the suspicion decays, at the latest)."""
+        re-polled after the suspicion decays, at the latest).  These are
+        also the nodes a degraded read may ask."""
         server = self.server
         nodes = server.all_nodes
         if not server.config.quorum_planner:
@@ -548,24 +606,9 @@ class Coordinator:
         # depend on hash order or runs stop replaying across processes
         # (every send draws from the latency/fault RNG streams)
         yield gather(self.server.rpc,
-                     {dst: ("op-release", op_id) for dst in sorted(polled)},
+                     {dst: (self.release_method, op_id)
+                      for dst in sorted(polled)},
                      timeout=self.server.config.rpc_timeout)
-
-    def _start_record(self, kind: str, op_id: str, **extra):
-        if self.history is None:
-            return None
-        return self.history.start(kind, op_id, self.name,
-                                  self.server.env.now, **extra)
-
-    def _finish_record(self, record, result) -> None:
-        if record is not None:
-            record.op_id = result.op_id or record.op_id
-            if getattr(result, "case", "") in ("degraded", "read-one"):
-                # degraded and read-one-tier reads promise bounded
-                # staleness, not freshness; the history checker
-                # validates them separately
-                record.kind = "read-degraded"
-            self.history.finish(record, self.server.env.now, result)
 
 
 def _state_responses(responses) -> dict[str, StateResponse]:

@@ -384,29 +384,11 @@ class ReplicaServer(TwoPhaseParticipant):
         owner = self.node.volatile.get("recovering")
         if not owner:
             return "no-permit"
-        state = self.state
         try:
-            if data.log is not None:
-                value = dict(state.value)
-                version = state.version
-                for entry_version, updates in data.log:
-                    if entry_version != version + 1:
-                        return "gap"
-                    value.update(updates)
-                    version = entry_version
-                log = state.update_log + tuple(
-                    (v, dict(u)) for v, u in data.log)
-                capacity = self.config.update_log_capacity
-                if capacity and len(log) > capacity:
-                    log = log[len(log) - capacity:]
-                self.state = state.caught_up(value, version, log)
-            elif data.snapshot is not None:
-                self.state = state.caught_up(dict(data.snapshot),
-                                             data.source_version, ())
-            else:
-                return "empty"
-        except ValueError:
-            return "rejected"
+            self.state = self.state.propagated(
+                data, self.config.update_log_capacity)
+        except ValueError as refusal:
+            return str(refusal)
         finally:
             self.node.volatile.pop("recovering", None)
             self.lock.release(owner)

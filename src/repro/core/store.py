@@ -85,15 +85,7 @@ class ReplicatedStore:
         self.servers: dict[str, ReplicaServer] = {}
         self.coordinators: dict[str, Coordinator] = {}
         self.checkers: dict[str, EpochChecker] = {}
-        adaptive = None
-        if self.config.adaptive_timeouts:
-            adaptive = AdaptiveTimeouts(
-                alpha=self.config.rtt_alpha,
-                beta=self.config.rtt_beta,
-                deadline_mult=self.config.rtt_deadline_mult,
-                floor=self.config.rtt_deadline_min,
-                ceil=self.config.rtt_deadline_max,
-                hedge_mult=self.config.hedge_threshold_mult)
+        adaptive = AdaptiveTimeouts.from_config(self.config)
         for name in names:
             node = Node(self.env, self.network, name)
             rpc = RpcLayer(node, default_timeout=self.config.rpc_timeout,

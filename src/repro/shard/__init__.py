@@ -3,7 +3,10 @@
 Splits a large keyspace over many shards, each replicated on a small
 subset of the cluster, with per-shard epochs and **one** shared epoch
 service: a single elected initiator sweeps every shard in batched RPCs
-(one message per node, not per shard).  See ``docs/SHARDING.md``.
+(one message per node, not per shard).  Keyed reads and writes run the
+single-item stack: :class:`ShardRouter` is a ``core`` ``Coordinator`` over
+``(shard, key)`` items, :class:`ShardHost` a ``TwoPhaseParticipant``.
+See ``docs/SHARDING.md``.
 """
 
 from repro.shard.host import ShardHost

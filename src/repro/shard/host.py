@@ -87,6 +87,10 @@ class ShardHost(TwoPhaseParticipant):
             metrics=self.metrics if self.metrics.enabled else None)
         self.liveness = LivenessView(node.env, self.config.suspect_ttl)
         rpc.liveness_observer = self.liveness.observe
+        if self.config.adaptive_timeouts or self.config.degraded_reads:
+            # graded suspicion, as in ReplicaServer: measured round trips
+            # feed the latency scores the planner ranks candidates by
+            rpc.latency_observer = self.liveness.observe_latency
         node.add_crash_hook(self.liveness.clear)
         self._lock_table: dict[tuple[int, str], Any] = {}
         node.add_crash_hook(self._reset_locks)
@@ -416,30 +420,11 @@ class ShardHost(TwoPhaseParticipant):
         owner = recovering.get(resource)
         if not owner:
             return "no-permit"
-        state = self.item_state(shard, key)
         try:
-            if data.log is not None:
-                value = dict(state.value)
-                version = state.version
-                for entry_version, updates in data.log:
-                    if entry_version != version + 1:
-                        return "gap"
-                    value.update(updates)
-                    version = entry_version
-                log = state.update_log + tuple(
-                    (v, dict(u)) for v, u in data.log)
-                capacity = self.config.update_log_capacity
-                if capacity and len(log) > capacity:
-                    log = log[len(log) - capacity:]
-                self.set_item_state(shard, key,
-                                    state.caught_up(value, version, log))
-            elif data.snapshot is not None:
-                self.set_item_state(shard, key, state.caught_up(
-                    dict(data.snapshot), data.source_version, ()))
-            else:
-                return "empty"
-        except ValueError:
-            return "rejected"
+            self.set_item_state(shard, key, self.item_state(
+                shard, key).propagated(data, self.config.update_log_capacity))
+        except ValueError as refusal:
+            return str(refusal)
         finally:
             recovering.pop(resource, None)
             self._release(resource, owner)

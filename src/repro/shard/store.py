@@ -38,7 +38,7 @@ from repro.sim.engine import Environment, Process
 from repro.sim.failures import FailureSchedule
 from repro.sim.network import LatencyModel, Network
 from repro.sim.node import Node
-from repro.sim.rpc import RpcLayer
+from repro.sim.rpc import AdaptiveTimeouts, RpcLayer
 from repro.sim.seeding import derive_rng
 from repro.sim.trace import TraceLog
 
@@ -71,6 +71,14 @@ class ShardedStore:
                                                 "shard.network.latency")),
             trace=self.trace)
         self.config = (config or ProtocolConfig()).validate()
+        # ReplicaServer / EpochChecker features the shard host does not
+        # have: refused, rather than accepted and run without
+        for knob in ("quorum_strategy", "safety_threshold",
+                     "busy_queue_limit", "suspicion_triggers_check"):
+            if getattr(self.config, knob):
+                raise ValueError(
+                    f"ProtocolConfig.{knob} is not supported by the "
+                    f"sharded store (docs/SHARDING.md)")
         self.map = ShardMap(names, n_shards, replication, seed=seed)
         self.histories: Optional[dict[str, History]] = \
             {} if track_history else None
@@ -78,10 +86,11 @@ class ShardedStore:
         self.hosts: dict[str, ShardHost] = {}
         self.routers: dict[str, ShardRouter] = {}
         self.sweepers: dict[str, ShardSweeper] = {}
+        adaptive = AdaptiveTimeouts.from_config(self.config)
         for name in names:
             node = Node(self.env, self.network, name)
             rpc = RpcLayer(node, default_timeout=self.config.rpc_timeout,
-                           metrics=self.metrics)
+                           metrics=self.metrics, adaptive=adaptive)
             host = ShardHost(node, rpc, self.map, names,
                              coterie_rule=coterie_rule, config=self.config,
                              metrics=self.metrics)

@@ -90,6 +90,18 @@ class AdaptiveTimeouts:
     ceil: float = 2.0
     hedge_mult: float = 6.0
 
+    @classmethod
+    def from_config(cls, config) -> Optional["AdaptiveTimeouts"]:
+        """The knobs a ``ProtocolConfig`` asks for (every store hands
+        this to its ``RpcLayer``s); None with ``adaptive_timeouts`` off."""
+        if not config.adaptive_timeouts:
+            return None
+        return cls(alpha=config.rtt_alpha, beta=config.rtt_beta,
+                   deadline_mult=config.rtt_deadline_mult,
+                   floor=config.rtt_deadline_min,
+                   ceil=config.rtt_deadline_max,
+                   hedge_mult=config.hedge_threshold_mult)
+
 
 class _LinkRtt:
     """srtt/rttvar EWMA for one outgoing link (RFC 6298 recurrences)."""

@@ -1,9 +1,12 @@
 """Tests for the coordinator retry/backoff path (``_with_retries``) and
 the liveness-aware re-pick on retry."""
 
+import pytest
+
 from repro.core.config import ProtocolConfig
 from repro.core.messages import WriteResult
 from repro.core.store import ReplicatedStore
+from repro.shard.store import ShardedStore
 
 
 def rpc_call_dsts(store, start):
@@ -78,17 +81,32 @@ class TestBackoffGrowth:
         assert elapsed_with(2.0) > elapsed_with(0.25) + 2.0
 
 
+def coordinator_stack(config):
+    store = ReplicatedStore.create(3, seed=0, config=config)
+    return store, store.coordinators["n00"]
+
+
+def router_stack(config):
+    store = ShardedStore.create(3, n_shards=4, seed=0, config=config)
+    return store, store.routers["n00"]
+
+
+both_stacks = pytest.mark.parametrize(
+    "stack", [coordinator_stack, router_stack],
+    ids=["Coordinator", "ShardRouter"])
+
+
 class TestRetryAfterClamp:
     """The ``Busy(retry_after)`` backoff stretch must respect *both*
     clamp bounds.  The stretch previously applied only the
     ``retry_after_max`` ceiling, so a tiny hint silently no-opted below
-    the ``retry_after_min`` floor the replica's ``_shed()`` promises."""
+    the ``retry_after_min`` floor the replica's ``_shed()`` promises.
+    The keyed router runs the same loop (it used to ignore the hint)."""
 
-    def gaps_with_hint(self, hint, **overrides):
+    def gaps_with_hint(self, stack, hint, **overrides):
         config = ProtocolConfig(op_retries=1, retry_backoff=1e-4,
                                 **overrides)
-        store = ReplicatedStore.create(3, seed=0, config=config)
-        coordinator = store.coordinators["n00"]
+        store, coordinator = stack(config)
         times = []
 
         def attempt():
@@ -103,18 +121,21 @@ class TestRetryAfterClamp:
         store.join(process)
         return [b - a for a, b in zip(times, times[1:])], config
 
-    def test_tiny_hint_is_raised_to_the_floor(self):
-        gaps, config = self.gaps_with_hint(1e-9)
+    @both_stacks
+    def test_tiny_hint_is_raised_to_the_floor(self, stack):
+        gaps, config = self.gaps_with_hint(stack, 1e-9)
         assert gaps and gaps[0] >= config.retry_after_min
 
-    def test_huge_hint_is_capped_at_the_ceiling(self):
-        gaps, config = self.gaps_with_hint(100.0)
+    @both_stacks
+    def test_huge_hint_is_capped_at_the_ceiling(self, stack):
+        gaps, config = self.gaps_with_hint(stack, 100.0)
         # the stretched delay is the clamped hint (the exponential base
         # is negligible here); allow jitter slack on the base term
         assert gaps and gaps[0] <= config.retry_after_max * 1.01
 
-    def test_no_hint_keeps_the_plain_backoff(self):
-        gaps, config = self.gaps_with_hint(0.0)
+    @both_stacks
+    def test_no_hint_keeps_the_plain_backoff(self, stack):
+        gaps, config = self.gaps_with_hint(stack, 0.0)
         # no stretch: the gap is just backoff * jitter, far below the
         # retry_after_min floor
         assert gaps and gaps[0] < config.retry_after_min

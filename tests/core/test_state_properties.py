@@ -1,10 +1,16 @@
-"""Property-based tests of the replica state machine."""
+"""Property-based tests of the replica state machine, over both state
+classes (the update-log methods are one implementation)."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.core.state import ReplicaState, initial_state
+from repro.core.state import ItemState, initial_state
+
+both_states = pytest.mark.parametrize(
+    "fresh", [lambda: initial_state(("a",)), ItemState],
+    ids=["ReplicaState", "ItemState"])
 
 
 @st.composite
@@ -15,12 +21,13 @@ def update_dicts(draw):
             for key in keys}
 
 
+@both_states
 class TestAppliedProperties:
     @given(st.lists(update_dicts(), min_size=1, max_size=12),
            st.integers(min_value=0, max_value=6))
     @settings(max_examples=60, deadline=None)
-    def test_value_equals_replay_of_updates(self, updates, capacity):
-        state = initial_state(("a",))
+    def test_value_equals_replay_of_updates(self, fresh, updates, capacity):
+        state = fresh()
         expected = {}
         for version, update in enumerate(updates, start=1):
             state = state.applied(update, version, capacity)
@@ -31,8 +38,9 @@ class TestAppliedProperties:
     @given(st.lists(update_dicts(), min_size=1, max_size=12),
            st.integers(min_value=1, max_value=6))
     @settings(max_examples=60, deadline=None)
-    def test_log_capacity_respected_and_contiguous(self, updates, capacity):
-        state = initial_state(("a",))
+    def test_log_capacity_respected_and_contiguous(self, fresh, updates,
+                                                   capacity):
+        state = fresh()
         for version, update in enumerate(updates, start=1):
             state = state.applied(update, version, capacity)
         assert len(state.update_log) <= capacity
@@ -43,8 +51,8 @@ class TestAppliedProperties:
     @given(st.lists(update_dicts(), min_size=1, max_size=10),
            st.integers(min_value=0, max_value=10))
     @settings(max_examples=60, deadline=None)
-    def test_log_slice_replays_to_current_value(self, updates, start):
-        state = initial_state(("a",))
+    def test_log_slice_replays_to_current_value(self, fresh, updates, start):
+        state = fresh()
         snapshots = [dict(state.value)]
         for version, update in enumerate(updates, start=1):
             state = state.applied(update, version, 0)  # unbounded log
@@ -57,12 +65,14 @@ class TestAppliedProperties:
         assert replayed == state.value
 
 
-class ReplicaStateMachine(RuleBasedStateMachine):
+class ItemStateMachine(RuleBasedStateMachine):
     """Random operation sequences keep the invariants."""
+
+    fresh = ItemState
 
     def __init__(self):
         super().__init__()
-        self.state = initial_state(("a", "b"))
+        self.state = self.fresh()
         self.model_value = {}
 
     @rule(update=update_dicts())
@@ -86,11 +96,6 @@ class ReplicaStateMachine(RuleBasedStateMachine):
         self.state = self.state.caught_up(dict(self.model_value),
                                           target_version, ())
 
-    @rule(bump=st.integers(min_value=1, max_value=2))
-    def new_epoch(self, bump):
-        self.state = self.state.with_epoch(
-            ("a", "b"), self.state.epoch_number + bump)
-
     @invariant()
     def version_fields_sane(self):
         assert self.state.version >= 0
@@ -109,6 +114,19 @@ class ReplicaStateMachine(RuleBasedStateMachine):
                 f"version {self.state.version}")
 
 
-ReplicaStateMachine.TestCase.settings = settings(
-    max_examples=40, stateful_step_count=20, deadline=None)
+class ReplicaStateMachine(ItemStateMachine):
+    """The same, with epoch installs interleaved."""
+
+    fresh = staticmethod(lambda: initial_state(("a", "b")))
+
+    @rule(bump=st.integers(min_value=1, max_value=2))
+    def new_epoch(self, bump):
+        self.state = self.state.with_epoch(
+            ("a", "b"), self.state.epoch_number + bump)
+
+
+for machine in (ItemStateMachine, ReplicaStateMachine):
+    machine.TestCase.settings = settings(
+        max_examples=40, stateful_step_count=20, deadline=None)
+TestItemStateMachine = ItemStateMachine.TestCase
 TestReplicaStateMachine = ReplicaStateMachine.TestCase

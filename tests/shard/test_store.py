@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import ProtocolConfig
+from repro.core.messages import Busy
 from repro.shard import ShardedStore
 
 
@@ -49,6 +50,28 @@ class TestBasicOperations:
             read = store.read("alpha", via=name)
             assert read.ok and read.value == {"a": 1}, name
         store.verify()
+
+
+class TestRejectedKnobs:
+    """Features only ``ReplicaServer`` / ``EpochChecker`` implement are
+    refused by name (they used to be accepted and silently ignored)."""
+
+    @pytest.mark.parametrize("knob, value", [
+        ("quorum_strategy", "optimized"),
+        ("safety_threshold", 2),
+        ("busy_queue_limit", 4),
+        ("suspicion_triggers_check", True),
+    ])
+    def test_unsupported_knob_is_named(self, knob, value):
+        with pytest.raises(ValueError, match=knob):
+            ShardedStore.create(5, config=ProtocolConfig(**{knob: value}))
+
+    def test_gray_failure_knobs_are_accepted(self):
+        store = ShardedStore.create(5, config=ProtocolConfig(
+            adaptive_timeouts=True, hedge_requests=True,
+            degraded_reads=True, op_deadline=0.5))
+        assert store.write("alpha", {"a": 1}).ok
+        assert store.read("alpha").value == {"a": 1}
 
 
 class TestBoundedState:
@@ -142,3 +165,51 @@ class TestFaults:
         store.settle()
         assert store.read("alpha").value == {"a": 1}
         store.verify()
+
+
+class TestResultAccounting:
+    """``polls`` / ``attempts`` of a keyed result are what the operation
+    cost (the router used to report 1 / 1 whatever happened)."""
+
+    def test_heavy_rescue_reports_two_polls(self):
+        store = ShardedStore.create(5, n_shards=16, replication=3, seed=14,
+                                    track_history=True)
+        replicas = store.map.replicas(store.shard_of("alpha"))
+        via = replicas[0]
+        coterie = store.hosts[via].coterie_for(replicas)
+        # the router's first draw for this key: crash a member of it
+        quorum = coterie.write_quorum(salt=f"{via}:alpha", attempt=1)
+        store.crash(next(name for name in sorted(quorum) if name != via))
+        result = store.write("alpha", {"a": 1}, via=via)
+        assert result.ok and result.case == "heavy"
+        assert (result.polls, result.attempts) == (2, 1)
+        store.verify()
+
+    def test_contended_key_sums_polls_over_attempts(self):
+        store = ShardedStore.create(5, n_shards=16, replication=3, seed=23,
+                                    track_history=True)
+        results = store.join(*(
+            store.start_write("hot", {"v": i}, via=name)
+            for i, name in enumerate(store.node_names)))
+        assert all(result.ok for result in results)
+        assert any(result.attempts > 1 for result in results)
+        for result in results:
+            # every lost attempt burned its fast poll and its heavy one
+            lost = result.attempts - 1
+            final = 2 if result.case == "heavy" else 1
+            assert result.polls == 2 * lost + final, result
+        store.settle()
+        store.verify()
+
+    def test_no_quorum_write_carries_the_busy_hint(self):
+        store = ShardedStore.create(3, n_shards=4, replication=3, seed=15,
+                                    config=ProtocolConfig(op_retries=0))
+        for host in store.hosts.values():
+            # every replica sheds (the shard host itself never does)
+            _handler, label = host.rpc._methods["sh-write-request"]
+            host.rpc._methods["sh-write-request"] = (
+                lambda src, args: Busy(retry_after=0.3), label)
+        result = store.write("alpha", {"a": 1})
+        assert not result.ok and result.case == "no-quorum"
+        assert result.retry_after == 0.3
+        assert (result.polls, result.attempts) == (2, 1)

@@ -59,7 +59,7 @@ def render(rows) -> str:
         f"{'success':>8}  {'writes touch':>12}",
     ]
     for name, (store, stats, traffic) in rows.items():
-        touched = _avg_write_set(store, name)
+        touched = _avg_write_set(store)
         lines.append(f"{name:<16}  {traffic.messages_per_operation:>8.1f}  "
                      f"{traffic.bytes_per_operation:>8.0f}  "
                      f"{traffic.operations:>5}  "
@@ -71,18 +71,16 @@ def render(rows) -> str:
     return "\n".join(lines)
 
 
-def _avg_write_set(store, name) -> float:
-    # approximate: count rpc requests per committed write is noisy; use
-    # the protocol's own result records where available
-    writes = store.history.committed_writes()
-    if not writes:
-        return 0.0
-    if hasattr(store, "dv_coordinators") or "ROWA" in name:
-        return float(len(store.node_names))
-    # dynamic grid: good + stale sets ~ write quorum size
-    from repro.coteries.grid import GridCoterie
-    grid = GridCoterie(list(store.node_names))
-    return float(grid.min_write_quorum_size())
+def _avg_write_set(store) -> float:
+    """Mean 2PC participants per committed write, from the run's trace
+    (failure-free and without epoch checks, every transaction here is a
+    write's)."""
+    committed = {rec.detail["txn_id"]
+                 for rec in store.trace.iter_select(kind="txn-decided")}
+    sizes = [len(rec.detail["participants"])
+             for rec in store.trace.iter_select(kind="txn-begin")
+             if rec.detail["txn_id"] in committed]
+    return sum(sizes) / len(sizes) if sizes else 0.0
 
 
 def test_partial_write_traffic(benchmark, capsys):

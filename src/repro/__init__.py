@@ -22,8 +22,9 @@ Package map
     asynchronous update propagation, epoch checking with election, and the
     replicated-object store facade.
 ``repro.baselines``
-    Static quorum protocols (grid / voting / ROWA without epochs) and a
-    dynamic-voting baseline.
+    Static quorum protocols (grid / voting / ROWA without epochs),
+    dynamic-linear voting and voting with witnesses, each as the hooks
+    of ``repro.core``'s one operation coordinator.
 ``repro.availability``
     Analytic machinery: a CTMC global-balance solver, the paper's Figure 3
     chain (Table 1), closed-form static availability, exact enumeration,
@@ -39,6 +40,7 @@ from repro.availability.formulas import (
 )
 from repro.baselines.dynamic_voting import DynamicVotingStore
 from repro.baselines.static_protocol import StaticQuorumStore
+from repro.baselines.witnesses import WitnessVotingStore
 from repro.core.config import ProtocolConfig
 from repro.core.store import ReplicatedStore
 from repro.coteries.grid import GridCoterie, GridShape, define_grid
@@ -61,6 +63,7 @@ __all__ = [
     "StaticQuorumStore",
     "TreeCoterie",
     "WeightedVotingCoterie",
+    "WitnessVotingStore",
     "define_grid",
     "dynamic_grid_unavailability",
     "grid_read_availability",

@@ -13,9 +13,15 @@
   & Mutchler 1990), the protocol whose availability the paper's epoch
   mechanism matches for structured coteries.
 
-Both run on the same simulator substrate and reuse the core package's
-locking and presumed-abort 2PC, so comparisons (availability, message
-traffic, load) are apples to apples.
+* :mod:`repro.baselines.witnesses` -- voting with witnesses (Paris 1986,
+  the paper's reference [13]): some voters store a version number only.
+
+All three run the core package's one operation loop
+(:class:`~repro.core.coordinator.Coordinator`: plan, poll, decide,
+commit, release, retry, per-op metrics) and override only which nodes an
+operation asks, whether it may proceed on their answers and what a
+participant is told -- so comparisons (availability, message traffic,
+load) are apples to apples.
 """
 
 from repro.baselines.static_protocol import StaticQuorumStore

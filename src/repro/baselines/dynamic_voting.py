@@ -26,14 +26,11 @@ because writes are total.
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
-from repro.core.coordinator import _state_responses
-from repro.core.messages import ReadResult, ReplaceValue, WriteResult
+from repro.baselines.static_protocol import StaticCoordinator
+from repro.core.messages import ReplaceValue
 from repro.core.store import ReplicatedStore, StoreError
-from repro.core.twophase import gather, run_transaction
-from repro.coteries.base import _stable_hash
 
 
 def _may_proceed(holders: set[str], cardinality: int,
@@ -45,162 +42,43 @@ def _may_proceed(holders: set[str], cardinality: int,
             and distinguished is not None and distinguished in holders)
 
 
-class DynamicVotingCoordinator:
-    """Write/read coordinator for dynamic-linear voting."""
+class DynamicVotingCoordinator(StaticCoordinator):
+    """The total-write loop under the majority-of-last-update rule."""
 
-    def __init__(self, server, history=None):
-        self.server = server
-        self.history = history
-        self._op_ids = itertools.count(1)
-        metrics = server.metrics
-        self._m_latency = {
-            kind: metrics.histogram("op_latency", kind=kind)
-            for kind in ("write", "read")
-        }
-        self._outcome_counters: dict[tuple[str, str], object] = {}
+    def _plan_quorum(self, coterie, kind, salt, seq, strategy=None) -> list:
+        return list(self.server.all_nodes)    # no small quorums
 
-    @property
-    def name(self) -> str:
-        """The owning node's name."""
-        return self.server.name
-
-    def _observe_op(self, kind: str, started: float, result) -> None:
-        self._m_latency[kind].observe(self.server.env.now - started)
-        outcome = "ok" if result.ok else (result.case or "failed")
-        counter = self._outcome_counters.get((kind, outcome))
-        if counter is None:
-            counter = self.server.metrics.counter("ops", kind=kind,
-                                                  outcome=outcome)
-            self._outcome_counters[(kind, outcome)] = counter
-        counter.inc()
-
-    # -- operations -----------------------------------------------------------
-    def write(self, value: dict):
-        """Generator (node process): perform one write operation."""
-        result = yield from self._operation("write", value)
-        return result
-
-    def read(self):
-        """Generator (node process): perform one read operation."""
-        result = yield from self._operation("read", None)
-        return result
-
-    def _operation(self, kind: str, value):
-        server = self.server
-        seq = next(self._op_ids)
-        op_id = f"{self.name}:dv{kind[0]}{seq}"
-        record = None
-        if self.history is not None:
-            record = self.history.start(
-                kind, op_id, self.name, server.env.now,
-                updates=dict(value) if value is not None else None)
-        started = server.env.now
-        result = yield from self._with_retries(
-            lambda: self._attempt(kind, value), seq)
-        if record is not None:
-            record.op_id = result.op_id or record.op_id
-            self.history.finish(record, server.env.now, result)
-        self._observe_op(kind, started, result)
-        return result
-
-    def _attempt(self, kind: str, value):
-        server = self.server
-        seq = next(self._op_ids)
-        op_id = f"{self.name}:dv{kind[0]}{seq}"
-        method = "write-request" if kind == "write" else "read-request"
-        poll_timeout = server.config.lock_wait + server.config.rpc_timeout
-        responses = yield gather(
-            server.rpc,
-            {dst: (method, op_id) for dst in server.all_nodes},
-            timeout=poll_timeout)
-        states = _state_responses(responses)
-        failure = (WriteResult(False, case="no-quorum", op_id=op_id)
-                   if kind == "write"
-                   else ReadResult(False, case="no-quorum", op_id=op_id))
+    def _decide(self, states, kind: str):
         if not states:
-            return failure
+            return None
+        newest = max(r.version for r in states.values())
+        holders = {n for n, r in states.items() if r.version == newest}
+        if not _may_proceed(holders, *states[min(holders)].meta):
+            return None
+        return newest, (set(states) if kind == "write" else holders), set()
 
-        max_vn = max(r.version for r in states.values())
-        holders = {name for name, r in states.items() if r.version == max_vn}
-        meta = next(r.meta for r in states.values()
-                    if r.version == max_vn and r.meta is not None) \
-            if any(r.version == max_vn and r.meta is not None
-                   for r in states.values()) \
-            else (len(server.all_nodes), max(server.all_nodes))
-        cardinality, distinguished = meta
-
-        if not _may_proceed(holders, cardinality, distinguished):
-            if kind == "write":
-                yield gather(server.rpc,
-                             {dst: ("op-release", op_id) for dst in states},
-                             timeout=server.config.rpc_timeout)
-            return failure
-
-        if kind == "read":
-            winner = next(r for r in states.values() if r.version == max_vn)
-            return ReadResult(True, value=winner.value, version=max_vn,
-                              case="dv", op_id=op_id)
-
-        participants = tuple(sorted(states))
-        new_meta = (len(participants), max(participants))
-        command = ReplaceValue(dict(value), max_vn + 1, meta=new_meta)
-        committed = yield from run_transaction(
-            server, {name: command for name in participants}, op_id)
-        if not committed:
-            return failure
-        return WriteResult(True, version=max_vn + 1, good=participants,
-                           case="dv", op_id=op_id)
-
-    def _with_retries(self, attempt_factory, seed: int):
-        config = self.server.config
-        result = yield from attempt_factory()
-        for attempt in range(config.op_retries):
-            if result.ok or result.case != "no-quorum":
-                break
-            jitter = 0.5 + (_stable_hash(f"{self.name}|dv{seed}|{attempt}")
-                            % 1000) / 1000.0
-            yield self.server.env.timeout(
-                config.retry_backoff * (2 ** attempt) * jitter)
-            result = yield from attempt_factory()
-        return result
+    def _write_command(self, item, node, current, updates, version,
+                       stale_nodes, known_good):
+        return ReplaceValue(dict(updates), version,
+                            meta=(len(known_good), max(known_good)))
 
 
 class DynamicVotingStore(ReplicatedStore):
     """A replicated object under dynamic-linear voting."""
 
+    coordinator_class = DynamicVotingCoordinator
+
     def __init__(self, node_names, **kwargs):
-        kwargs.setdefault("auto_epoch_check", False)
         super().__init__(node_names, **kwargs)
-        self.dv_coordinators = {
-            name: DynamicVotingCoordinator(server, history=self.history)
-            for name, server in self.servers.items()}
         # every replica starts with SC = N, DS = highest-ordered node
         initial_meta = (len(self.node_names), max(self.node_names))
         for server in self.servers.values():
             server.node.stable["proto_meta"] = initial_meta
 
-    def start_write(self, value: dict, via: Optional[str] = None):
-        """Spawn a write operation; returns its simulation process."""
-        name = self._pick_via(via)
-        return self.nodes[name].spawn(
-            self.dv_coordinators[name].write(value), name="dv-write")
-
-    def start_read(self, via: Optional[str] = None):
-        """Spawn a read operation; returns its simulation process."""
-        name = self._pick_via(via)
-        return self.nodes[name].spawn(
-            self.dv_coordinators[name].read(), name="dv-read")
-
     def start_epoch_check(self, via=None):
         """Spawn an epoch-checking operation (where supported)."""
         raise StoreError("dynamic voting adjusts quorums inside writes; "
                          "it has no separate epoch checking")
-
-    def verify(self) -> dict:
-        """Assert one-copy serializability of the recorded history."""
-        from repro.core.history import check_one_copy_serializability
-        return check_one_copy_serializability(self.history,
-                                              self.initial_value)
 
     def partition_metadata(self) -> dict[str, tuple]:
         """Current (SC, DS) per replica, for inspection in tests."""

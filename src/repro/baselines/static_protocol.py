@@ -10,195 +10,53 @@ writes the new value (at ``max responder version + 1``) to every quorum
 member, whatever version they held.  Intersection of write quorums keeps
 versions strictly increasing; intersection of read and write quorums makes
 the max-version read correct.
+
+The operation itself -- plan, poll, decide, commit, release, retry -- is
+:class:`~repro.core.coordinator.Coordinator`'s; the class below changes
+four of its answers.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Optional
-
-from repro.core.coordinator import _state_responses
-from repro.core.messages import ReadResult, ReplaceValue, WriteResult
+from repro.core.coordinator import Coordinator
+from repro.core.messages import ReplaceValue
 from repro.core.store import ReplicatedStore, StoreError
-from repro.core.twophase import gather, run_transaction
-from repro.coteries.base import _stable_hash
-from repro.coteries.planner import plan_quorum
 
 
-class StaticCoordinator:
-    """Total-write coordinator over a fixed coterie."""
+class StaticCoordinator(Coordinator):
+    """The operation loop under a fixed coterie with total writes."""
 
-    def __init__(self, server, history=None):
-        self.server = server
-        self.history = history
-        self._op_ids = itertools.count(1)
-        # the static structure: the coterie over ALL replicas, forever
-        self.coterie = server.coterie_rule(server.all_nodes)
-        metrics = server.metrics
-        self._op_metrics = {
-            kind: (metrics.histogram("op_latency", kind=kind),
-                   metrics.counter("planner_detours", kind=kind))
-            for kind in ("write", "read")
-        }
-        self._outcome_counters: dict[tuple[str, str], object] = {}
+    def _epoch_list(self, item) -> tuple:
+        return self.server.all_nodes    # the static structure, forever
 
-    def _observe_op(self, kind: str, started: float, result) -> None:
-        latency, _detours = self._op_metrics[kind]
-        latency.observe(self.server.env.now - started)
-        outcome = "ok" if result.ok else (result.case or "failed")
-        counter = self._outcome_counters.get((kind, outcome))
-        if counter is None:
-            counter = self.server.metrics.counter("ops", kind=kind,
-                                                  outcome=outcome)
-            self._outcome_counters[(kind, outcome)] = counter
-        counter.inc()
+    def _heavy_targets(self, coterie, kind: str, item) -> tuple:
+        return ()    # the drawn quorum answers or the attempt fails
 
-    def _plan(self, kind: str, seq: int) -> list:
-        """Liveness-aware quorum pick (the blind draw when the planner is
-        disabled or nothing is suspected; see repro.coteries.planner)."""
-        server = self.server
-        if not server.config.quorum_planner:
-            return (self.coterie.write_quorum(salt=self.name, attempt=seq)
-                    if kind == "write"
-                    else self.coterie.read_quorum(salt=self.name,
-                                                  attempt=seq))
-        avoid = server.liveness.suspects()
-        if avoid:
-            self._op_metrics[kind][1].inc()
-        return plan_quorum(self.coterie, kind, avoid=avoid,
-                           salt=self.name, attempt=seq)
+    def _decide(self, states, kind: str):
+        """The paper's decision, at epoch 0 forever -- except that a total
+        write overwrites the laggards it would have marked stale."""
+        decision = super()._decide(states, kind)
+        if decision is None or kind == "read":
+            return decision
+        newest, current, laggards = decision
+        return newest, current | laggards, set()
 
-    @property
-    def name(self) -> str:
-        """The owning node's name."""
-        return self.server.name
-
-    def write(self, value: dict):
-        """Generator (node process): perform one write operation."""
-        server = self.server
-        seq = next(self._op_ids)
-        op_id = f"{self.name}:sw{seq}"
-        record = None
-        if self.history is not None:
-            record = self.history.start("write", op_id, self.name,
-                                        server.env.now,
-                                        updates=dict(value))
-        started = server.env.now
-        result = yield from self._with_retries(
-            lambda: self._write_once(value), seq)
-        if record is not None:
-            record.op_id = result.op_id or record.op_id
-            self.history.finish(record, server.env.now, result)
-        self._observe_op("write", started, result)
-        return result
-
-    def _write_once(self, value: dict):
-        server = self.server
-        seq = next(self._op_ids)
-        op_id = f"{self.name}:sw{seq}"
-        quorum = self._plan("write", seq)
-        poll_timeout = server.config.lock_wait + server.config.rpc_timeout
-        responses = yield gather(
-            server.rpc, {dst: ("write-request", op_id) for dst in quorum},
-            timeout=poll_timeout)
-        states = _state_responses(responses)
-        if not self.coterie.is_write_quorum(set(states)):
-            yield gather(server.rpc,
-                         {dst: ("op-release", op_id) for dst in quorum},
-                         timeout=server.config.rpc_timeout)
-            return WriteResult(False, case="no-quorum", op_id=op_id)
-        new_version = max(r.version for r in states.values()) + 1
-        command = ReplaceValue(dict(value), new_version)
-        committed = yield from run_transaction(
-            server, {name: command for name in states}, op_id)
-        if not committed:
-            return WriteResult(False, case="no-quorum", op_id=op_id)
-        return WriteResult(True, version=new_version,
-                           good=tuple(sorted(states)), case="static",
-                           op_id=op_id)
-
-    def read(self):
-        """Generator (node process): perform one read operation."""
-        server = self.server
-        seq = next(self._op_ids)
-        op_id = f"{self.name}:sr{seq}"
-        record = None
-        if self.history is not None:
-            record = self.history.start("read", op_id, self.name,
-                                        server.env.now)
-        started = server.env.now
-        result = yield from self._with_retries(lambda: self._read_once(),
-                                               seq)
-        if record is not None:
-            record.op_id = result.op_id or record.op_id
-            self.history.finish(record, server.env.now, result)
-        self._observe_op("read", started, result)
-        return result
-
-    def _read_once(self):
-        server = self.server
-        seq = next(self._op_ids)
-        op_id = f"{self.name}:sr{seq}"
-        quorum = self._plan("read", seq)
-        poll_timeout = server.config.lock_wait + server.config.rpc_timeout
-        responses = yield gather(
-            server.rpc, {dst: ("read-request", op_id) for dst in quorum},
-            timeout=poll_timeout)
-        states = _state_responses(responses)
-        if not self.coterie.is_read_quorum(set(states)):
-            return ReadResult(False, case="no-quorum", op_id=op_id)
-        winner = max(states.values(), key=lambda r: (r.version, r.node))
-        return ReadResult(True, value=winner.value, version=winner.version,
-                          case="static", op_id=op_id)
-
-    def _with_retries(self, attempt_factory, seed: int):
-        config = self.server.config
-        result = yield from attempt_factory()
-        for attempt in range(config.op_retries):
-            if result.ok or result.case != "no-quorum":
-                break
-            jitter = 0.5 + (_stable_hash(f"{self.name}|{seed}|{attempt}")
-                            % 1000) / 1000.0
-            yield self.server.env.timeout(
-                config.retry_backoff * (2 ** attempt) * jitter)
-            result = yield from attempt_factory()
-        return result
+    def _write_command(self, item, node, current, updates, version,
+                       stale_nodes, known_good):
+        return ReplaceValue(dict(updates), version)
 
 
 class StaticQuorumStore(ReplicatedStore):
     """A replicated object under the static protocol (no epochs).
 
-    The facade mirrors :class:`~repro.core.store.ReplicatedStore`, but
-    ``write`` takes the *whole* new value and epoch checking is refused.
+    The facade is :class:`~repro.core.store.ReplicatedStore`'s, but
+    ``write`` takes the *whole* new value (``verify`` replays by merge,
+    which equals replay by replace while clients write the full key
+    set) and epoch checking is refused.
     """
 
-    def __init__(self, node_names, **kwargs):
-        kwargs.setdefault("auto_epoch_check", False)
-        super().__init__(node_names, **kwargs)
-        self.static_coordinators = {
-            name: StaticCoordinator(server, history=self.history)
-            for name, server in self.servers.items()}
-
-    def start_write(self, value: dict, via: Optional[str] = None):
-        """Spawn a write operation; returns its simulation process."""
-        name = self._pick_via(via)
-        return self.nodes[name].spawn(
-            self.static_coordinators[name].write(value), name="static-write")
-
-    def start_read(self, via: Optional[str] = None):
-        """Spawn a read operation; returns its simulation process."""
-        name = self._pick_via(via)
-        return self.nodes[name].spawn(
-            self.static_coordinators[name].read(), name="static-read")
+    coordinator_class = StaticCoordinator
 
     def start_epoch_check(self, via=None):
         """Spawn an epoch-checking operation (where supported)."""
         raise StoreError("the static protocol has no epochs")
-
-    def verify(self) -> dict:
-        # Total writes: replay-by-merge equals replay-by-replace as long as
-        # clients always write the full key set, which the checker assumes.
-        """Assert one-copy serializability of the recorded history."""
-        from repro.core.history import check_one_copy_serializability
-        return check_one_copy_serializability(self.history,
-                                              self.initial_value)

@@ -16,155 +16,42 @@ return doubtful data.
 
 from __future__ import annotations
 
-import itertools
-from typing import Optional, Sequence
+from typing import Sequence
 
-from repro.core.coordinator import _state_responses
-from repro.core.messages import ReadResult, ReplaceValue, WriteResult
+from repro.baselines.static_protocol import StaticCoordinator
+from repro.core.messages import ReplaceValue
 from repro.core.store import ReplicatedStore, StoreError
-from repro.core.twophase import gather, run_transaction
-from repro.coteries.base import _stable_hash
 from repro.coteries.majority import MajorityCoterie
-from repro.coteries.planner import plan_quorum
 
 
-class WitnessVotingCoordinator:
-    """Total-write coordinator aware of which voters are witnesses."""
+class WitnessVotingCoordinator(StaticCoordinator):
+    """The total-write loop aware of which voters are witnesses."""
 
-    def __init__(self, server, witnesses: frozenset, history=None):
-        self.server = server
-        self.witnesses = witnesses
-        self.history = history
-        self._op_ids = itertools.count(1)
-        self.coterie = server.coterie_rule(server.all_nodes)
+    #: The voters that store no data; the store sets it on its coordinators.
+    witnesses: frozenset = frozenset()
 
-    def _plan(self, kind: str, seq: int) -> list:
-        """Liveness-aware quorum pick (the blind draw when the planner is
-        disabled or nothing is suspected; see repro.coteries.planner)."""
-        server = self.server
-        if not server.config.quorum_planner:
-            return (self.coterie.write_quorum(salt=self.name, attempt=seq)
-                    if kind == "write"
-                    else self.coterie.read_quorum(salt=self.name,
-                                                  attempt=seq))
-        return plan_quorum(self.coterie, kind,
-                           avoid=server.liveness.suspects(),
-                           salt=self.name, attempt=seq)
+    def _heavy_targets(self, coterie, kind: str, item) -> tuple:
+        # a quorum whose freshest member is a witness goes wide for the
+        # data -- suspects included: the witnesses left over may well be
+        # a quorum, and still none of them has the value
+        return self.server.all_nodes
 
-    @property
-    def name(self) -> str:
-        """The owning node's name."""
-        return self.server.name
-
-    # -- write ---------------------------------------------------------------
-    def write(self, value: dict):
-        """Generator (node process): perform one write operation."""
-        record = self._start("write", dict(value))
-        result = yield from self._retry(lambda: self._write_once(value))
-        self._finish(record, result)
-        return result
-
-    def _write_once(self, value: dict):
-        server = self.server
-        seq = next(self._op_ids)
-        op_id = f"{self.name}:ww{seq}"
-        quorum = self._plan("write", seq)
-        poll_timeout = server.config.lock_wait + server.config.rpc_timeout
-        responses = yield gather(
-            server.rpc, {dst: ("write-request", op_id) for dst in quorum},
-            timeout=poll_timeout)
-        states = _state_responses(responses)
-        data_responders = set(states) - self.witnesses
-        if not self.coterie.is_write_quorum(set(states)) \
-                or not data_responders:
-            # a quorum of witnesses alone could vote, but the new value
-            # would be stored nowhere -- Paris requires at least one data
-            # copy in every write
-            yield gather(server.rpc,
-                         {dst: ("op-release", op_id) for dst in quorum},
-                         timeout=server.config.rpc_timeout)
-            return WriteResult(False, case="no-quorum", op_id=op_id)
-        new_version = max(r.version for r in states.values()) + 1
-        commands = {}
-        for name in states:
-            payload = {} if name in self.witnesses else dict(value)
-            commands[name] = ReplaceValue(payload, new_version)
-        committed = yield from run_transaction(server, commands, op_id)
-        if not committed:
-            return WriteResult(False, case="no-quorum", op_id=op_id)
-        data_nodes = tuple(sorted(set(states) - self.witnesses))
-        return WriteResult(True, version=new_version, good=data_nodes,
-                           case="witness", op_id=op_id)
-
-    # -- read -----------------------------------------------------------------
-    def read(self):
-        """Generator (node process): perform one read operation."""
-        record = self._start("read", None)
-        result = yield from self._retry(lambda: self._read_once())
-        self._finish(record, result)
-        return result
-
-    def _read_once(self):
-        server = self.server
-        seq = next(self._op_ids)
-        op_id = f"{self.name}:wr{seq}"
-        quorum = self._plan("read", seq)
-        poll_timeout = server.config.lock_wait + server.config.rpc_timeout
-        responses = yield gather(
-            server.rpc, {dst: ("read-request", op_id) for dst in quorum},
-            timeout=poll_timeout)
-        result = self._decide_read(responses, op_id)
-        if result is None:
-            responses = yield gather(
-                server.rpc,
-                {dst: ("read-request", op_id) for dst in server.all_nodes},
-                timeout=poll_timeout)
-            result = self._decide_read(responses, op_id)
-        if result is None:
-            result = ReadResult(False, case="no-current-data", op_id=op_id)
-        return result
-
-    def _decide_read(self, responses, op_id):
-        states = _state_responses(responses)
-        if not self.coterie.is_read_quorum(set(states)):
+    def _decide(self, states, kind: str):
+        """The static decision, if the value is (read) or will be (write)
+        on a data node: a quorum of witnesses alone could vote, but
+        Paris requires a data copy in every write, and a read whose
+        newest responders are all witnesses has no value to return."""
+        decision = super()._decide(states, kind)
+        if decision is None:
             return None
-        max_version = max(r.version for r in states.values())
-        data_holders = sorted(
-            name for name, r in states.items()
-            if r.version == max_version and name not in self.witnesses)
-        if not data_holders:
-            # the freshest responder is a witness: the value itself is
-            # elsewhere; retry wider rather than serve stale data
-            return None
-        winner = states[data_holders[0]]
-        return ReadResult(True, value=winner.value, version=max_version,
-                          case="witness", op_id=op_id)
+        newest, voters, _ = decision
+        data = voters - self.witnesses
+        return (newest, data, voters - data) if data else None
 
-    # -- shared plumbing ---------------------------------------------------------
-    def _retry(self, factory):
-        config = self.server.config
-        result = yield from factory()
-        for attempt in range(config.op_retries):
-            if result.ok or result.case not in ("no-quorum",
-                                                "no-current-data"):
-                break
-            jitter = 0.5 + (_stable_hash(f"{result.op_id}|{attempt}")
-                            % 1000) / 1000.0
-            yield self.server.env.timeout(
-                config.retry_backoff * (2 ** attempt) * jitter)
-            result = yield from factory()
-        return result
-
-    def _start(self, kind, updates):
-        if self.history is None:
-            return None
-        return self.history.start(kind, f"{self.name}:w?", self.name,
-                                  self.server.env.now, updates=updates)
-
-    def _finish(self, record, result):
-        if record is not None:
-            record.op_id = result.op_id or record.op_id
-            self.history.finish(record, self.server.env.now, result)
+    def _write_command(self, item, node, current, updates, version,
+                       stale_nodes, known_good):
+        return ReplaceValue({} if node in self.witnesses else dict(updates),
+                            version)
 
 
 class WitnessVotingStore(ReplicatedStore):
@@ -179,9 +66,10 @@ class WitnessVotingStore(ReplicatedStore):
         least one data node.
     """
 
+    coordinator_class = WitnessVotingCoordinator
+
     def __init__(self, node_names: Sequence[str],
                  witnesses: Sequence[str], **kwargs):
-        kwargs.setdefault("auto_epoch_check", False)
         kwargs.setdefault("coterie_rule", MajorityCoterie)
         super().__init__(node_names, **kwargs)
         self.witnesses = frozenset(witnesses)
@@ -190,27 +78,13 @@ class WitnessVotingStore(ReplicatedStore):
             raise StoreError(f"unknown witnesses: {sorted(unknown)}")
         if not set(self.node_names) - self.witnesses:
             raise StoreError("at least one data node required")
-        self.witness_coordinators = {
-            name: WitnessVotingCoordinator(server, self.witnesses,
-                                           history=self.history)
-            for name, server in self.servers.items()}
+        for coordinator in self.coordinators.values():
+            coordinator.witnesses = self.witnesses
 
     @property
     def data_nodes(self) -> tuple[str, ...]:
         """The voters that store data (everyone but the witnesses)."""
         return tuple(sorted(set(self.node_names) - self.witnesses))
-
-    def start_write(self, value: dict, via: Optional[str] = None):
-        """Spawn a write operation; returns its simulation process."""
-        name = self._pick_via(via)
-        return self.nodes[name].spawn(
-            self.witness_coordinators[name].write(value), name="w-write")
-
-    def start_read(self, via: Optional[str] = None):
-        """Spawn a read operation; returns its simulation process."""
-        name = self._pick_via(via)
-        return self.nodes[name].spawn(
-            self.witness_coordinators[name].read(), name="w-read")
 
     def start_epoch_check(self, via=None):
         """Spawn an epoch-checking operation (where supported)."""
@@ -221,9 +95,3 @@ class WitnessVotingStore(ReplicatedStore):
         from repro.sim.sizing import estimate_size
         return {name: estimate_size(self.replica_state(name).value)
                 for name in self.node_names}
-
-    def verify(self) -> dict:
-        """Assert one-copy serializability of the recorded history."""
-        from repro.core.history import check_one_copy_serializability
-        return check_one_copy_serializability(self.history,
-                                              self.initial_value)

@@ -29,10 +29,12 @@ This is the only implementation of that path, and it is item-addressed:
 what depends on the data item alone is asked of a small overridable
 method (``_registry``, ``_history``, ``_epoch_list``, ``_new_op``,
 ``_poll_request``, ``release_method``, ``_heavy_targets``,
-``_write_command``, ``_learn``).  The answers below are the single-item
-store's, whose one item is ``None``; the keyed store's
-:class:`~repro.shard.router.ShardRouter` subclasses :class:`Coordinator`
-and answers for a ``(shard, key)``.
+``_write_command``, ``_learn``), and what another protocol decides
+differently of two more (``_plan_quorum``, ``_decide``).  The answers
+below are the single-item store's, whose one item is ``None``; the keyed
+store's :class:`~repro.shard.router.ShardRouter` answers for a
+``(shard, key)`` and :mod:`repro.baselines` for the three protocols the
+paper is compared with (docs/SHARDING.md: who overrides what).
 """
 
 from __future__ import annotations
@@ -127,10 +129,11 @@ class Coordinator:
         return ("write-request" if kind == "write" else "read-request",
                 op_id)
 
-    def _write_command(self, item, current: bool, updates: dict,
+    def _write_command(self, item, node: str, current: bool, updates: dict,
                        version: int, stale_nodes: tuple, known_good: tuple):
-        """One participant's 2PC command: apply the update on a *current*
-        replica, mark any other stale with desired version *version*."""
+        """Participant *node*'s 2PC command: apply the update on a
+        *current* replica, mark any other stale with desired version
+        *version*."""
         if current:
             return ApplyWrite(dict(updates), version, stale_nodes,
                               known_good)
@@ -138,6 +141,11 @@ class Coordinator:
 
     def _learn(self, item, states: Mapping[str, StateResponse]) -> None:
         """Hook: the state answers of one poll wave, before the decision."""
+
+    def _decide(self, states: Mapping[str, StateResponse], kind: str):
+        """May a *kind* operation proceed on these answers?
+        ``(max_version, good, stale)`` or None; see :func:`_decide`."""
+        return _decide(self.server.coterie_for, states, kind)
 
     # -- the operation path ------------------------------------------------------
     def write(self, updates: dict):
@@ -200,10 +208,12 @@ class Coordinator:
         self._raise_suspicion(responses)
         result = yield from self._try_write(item, responses, updates, op_id,
                                             case="fast")
-        if result is None:
-            # HeavyProcedure: poll every candidate (re-polls are answered
-            # from the locks already held by this op).
-            targets = self._heavy_targets(coterie, "write", item)
+        # HeavyProcedure: poll every candidate (re-polls are answered
+        # from the locks already held by this op); a protocol without
+        # one names no candidates.
+        targets = (() if result is not None
+                   else self._heavy_targets(coterie, "write", item))
+        if targets:
             responses = yield self._poll(coterie, "write", targets, request)
             polled |= set(targets) | set(responses)
             seen.update(responses)
@@ -214,7 +224,8 @@ class Coordinator:
         if result is None:
             yield from self._release(polled, op_id)
             result = WriteResult(False, case="no-quorum", op_id=op_id,
-                                 polls=2, retry_after=_busy_hint(seen))
+                                 polls=1 + bool(targets),
+                                 retry_after=_busy_hint(seen))
         elif server.config.adaptive_timeouts or server.config.hedge_requests:
             # Two stranding shapes on the success path: early-completed
             # waves leave stragglers unanswered, and the heavy procedure
@@ -241,7 +252,7 @@ class Coordinator:
         server = self.server
         states = _state_responses(responses)
         self._learn(item, states)
-        decision = _decide(server.coterie_for, states, kind="write")
+        decision = self._decide(states, "write")
         if decision is None:
             return None
         max_version, good, stale = decision
@@ -251,8 +262,8 @@ class Coordinator:
         extras = tuple(self._safety_extras(states, max_version,
                                            good_nodes, stale_nodes))
         commands = {
-            node: self._write_command(item, node not in stale, updates,
-                                      max_version + 1, stale_nodes,
+            node: self._write_command(item, node, node not in stale,
+                                      updates, max_version + 1, stale_nodes,
                                       good_nodes + extras)
             for node in good_nodes + stale_nodes + extras}
         expected = {node: {"version": max_version, "stale": False}
@@ -320,8 +331,9 @@ class Coordinator:
         seen = dict(responses)
         self._raise_suspicion(responses)
         result = self._try_read(item, responses, op_id, case="fast")
-        if result is None:
-            targets = self._heavy_targets(coterie, "read", item)
+        targets = (() if result is not None
+                   else self._heavy_targets(coterie, "read", item))
+        if targets:
             responses = yield self._poll(coterie, "read", targets, request)
             seen.update(responses)
             result = self._try_read(item, responses, op_id, case="heavy")
@@ -329,7 +341,8 @@ class Coordinator:
                 result.polls = 2
         if result is None:
             result = ReadResult(False, case="no-quorum", op_id=op_id,
-                                polls=2, retry_after=_busy_hint(seen))
+                                polls=1 + bool(targets),
+                                retry_after=_busy_hint(seen))
         return result
 
     def _degraded_read(self, coterie, item, request: tuple, op_id: str):
@@ -366,7 +379,7 @@ class Coordinator:
     def _try_read(self, item, responses, op_id: str, case: str):
         states = _state_responses(responses)
         self._learn(item, states)
-        decision = _decide(self.server.coterie_for, states, kind="read")
+        decision = self._decide(states, "read")
         if decision is None:
             return None
         max_version, good, _stale = decision
@@ -509,11 +522,9 @@ class Coordinator:
                     deadlines={dst: config.lock_wait + rpc.deadline_for(dst)
                                for dst in spares},
                     limit=config.hedge_max)
-            coterie_for = server.coterie_for
-
-            def enough(results, _kind=kind):
-                return _decide(coterie_for, _state_responses(results),
-                               kind=_kind) is not None
+            def enough(results):
+                return self._decide(_state_responses(results),
+                                    kind) is not None
 
         return rpc.call_wave(requests, timeout=timeout, deadlines=deadlines,
                              hedge=hedge, enough=enough)

@@ -51,6 +51,9 @@ class StoreError(Exception):
 class ReplicatedStore:
     """A replicated dictionary managed by the dynamic coterie protocol."""
 
+    #: The per-node operation coordinator; a baseline store names its own.
+    coordinator_class = Coordinator
+
     def __init__(self, node_names: Sequence[str], seed: int = 0,
                  coterie_rule: CoterieRule = GridCoterie,
                  config: Optional[ProtocolConfig] = None,
@@ -96,8 +99,8 @@ class ReplicatedStore:
                                    metrics=self.metrics, seed=seed)
             self.nodes[name] = node
             self.servers[name] = server
-            self.coordinators[name] = Coordinator(server,
-                                                  history=self.history)
+            self.coordinators[name] = self.coordinator_class(
+                server, history=self.history)
             if auto_epoch_check:
                 checker = EpochChecker(server, history=self.history)
                 checker.start()

@@ -1,6 +1,6 @@
 """``transport-boundary``: no sim-transport internals outside ``sim/``.
 
-ROADMAP item 3 wants the protocol core running unchanged on the
+ROADMAP item 4(a) wants the protocol core running unchanged on the
 deterministic sim *and* on real asyncio sockets.  That refactor is only
 possible if everything outside :mod:`repro.sim` talks to the transport
 through its public surface -- the RPC layer, ``Environment.schedule``,
@@ -32,7 +32,7 @@ class TransportBoundaryRule(Rule):
     rationale = ("modules outside sim/ must use the public transport "
                  "API (RPC layer, Environment.schedule, Network link "
                  "controls), never underscore internals -- the seam "
-                 "ROADMAP item 3's real-socket backend plugs into")
+                 "ROADMAP item 4(a)'s real-socket backend plugs into")
     exclude = ("sim/*",)
 
     def check(self, tree: ast.Module, source: str,

@@ -107,11 +107,11 @@ class ShardRouter(Coordinator):
         -- suspects included, unlike the coordinator's.  Measured, not an
         oversight: in the crash-free contended benchmark every suspicion
         is false (a propagation offer that outwaited ``rpc_timeout`` at
-        a busy lock, ROADMAP item 4), and excluding those nodes costs up
+        a busy lock, ROADMAP item 2(b)), and excluding those nodes costs up
         to 8 % of simulated p99 and sends more messages per op."""
         return sorted(set(coterie.nodes) | set(self.map.replicas(item[0])))
 
-    def _write_command(self, item, current: bool, updates: dict,
+    def _write_command(self, item, node: str, current: bool, updates: dict,
                        version: int, stale_nodes: tuple, known_good: tuple):
         if current:
             return ShApplyWrite(*item, dict(updates), version, stale_nodes)

@@ -552,7 +552,7 @@ class Environment:
         runner arming fault events, the nemesis scheduling delayed
         recoveries) uses this instead of reaching into
         ``_schedule``, keeping the transport internals swappable
-        (ROADMAP item 3) -- the ``transport-boundary`` lint rule
+        (ROADMAP item 4(a)) -- the ``transport-boundary`` lint rule
         enforces exactly that.
         """
         self._schedule(_call, callback, delay)

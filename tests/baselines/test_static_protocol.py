@@ -13,7 +13,7 @@ class TestStaticGrid:
     def test_write_and_read(self):
         store = StaticQuorumStore.create(9, seed=1)
         result = store.write({"x": 1})
-        assert result.ok and result.version == 1 and result.case == "static"
+        assert result.ok and result.version == 1 and result.case == "fast"
         read = store.read()
         assert read.ok and read.value == {"x": 1}
         store.verify()

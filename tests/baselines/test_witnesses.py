@@ -95,7 +95,7 @@ class TestAvailability:
         store.write({"x": 1})
         store.crash("d0")
         read = store.read()
-        assert not read.ok and read.case == "no-current-data"
+        assert not read.ok and read.case == "no-quorum"
         result = store.write({"x": 2})
         assert not result.ok
         store.recover("d0")

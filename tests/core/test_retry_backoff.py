@@ -3,6 +3,9 @@ the liveness-aware re-pick on retry."""
 
 import pytest
 
+from repro.baselines.dynamic_voting import DynamicVotingStore
+from repro.baselines.static_protocol import StaticQuorumStore
+from repro.baselines.witnesses import WitnessVotingStore
 from repro.core.config import ProtocolConfig
 from repro.core.messages import WriteResult
 from repro.core.store import ReplicatedStore
@@ -81,9 +84,12 @@ class TestBackoffGrowth:
         assert elapsed_with(2.0) > elapsed_with(0.25) + 2.0
 
 
-def coordinator_stack(config):
-    store = ReplicatedStore.create(3, seed=0, config=config)
-    return store, store.coordinators["n00"]
+def single_item_stack(make):
+    """A store over n00..n02 built by *make*, and n00's coordinator."""
+    def stack(config):
+        store = make(["n00", "n01", "n02"], seed=0, config=config)
+        return store, store.coordinators["n00"]
+    return stack
 
 
 def router_stack(config):
@@ -91,9 +97,15 @@ def router_stack(config):
     return store, store.routers["n00"]
 
 
-both_stacks = pytest.mark.parametrize(
-    "stack", [coordinator_stack, router_stack],
-    ids=["Coordinator", "ShardRouter"])
+every_stack = pytest.mark.parametrize(
+    "stack",
+    [single_item_stack(ReplicatedStore), router_stack,
+     single_item_stack(StaticQuorumStore),
+     single_item_stack(DynamicVotingStore),
+     single_item_stack(lambda names, **kw: WitnessVotingStore(
+         names, names[-1:], **kw))],
+    ids=["Coordinator", "ShardRouter", "StaticCoordinator",
+         "DynamicVotingCoordinator", "WitnessVotingCoordinator"])
 
 
 class TestRetryAfterClamp:
@@ -101,7 +113,8 @@ class TestRetryAfterClamp:
     clamp bounds.  The stretch previously applied only the
     ``retry_after_max`` ceiling, so a tiny hint silently no-opted below
     the ``retry_after_min`` floor the replica's ``_shed()`` promises.
-    The keyed router runs the same loop (it used to ignore the hint)."""
+    The keyed router and the three baselines run the same loop (each
+    used to ignore the hint)."""
 
     def gaps_with_hint(self, stack, hint, **overrides):
         config = ProtocolConfig(op_retries=1, retry_backoff=1e-4,
@@ -121,19 +134,19 @@ class TestRetryAfterClamp:
         store.join(process)
         return [b - a for a, b in zip(times, times[1:])], config
 
-    @both_stacks
+    @every_stack
     def test_tiny_hint_is_raised_to_the_floor(self, stack):
         gaps, config = self.gaps_with_hint(stack, 1e-9)
         assert gaps and gaps[0] >= config.retry_after_min
 
-    @both_stacks
+    @every_stack
     def test_huge_hint_is_capped_at_the_ceiling(self, stack):
         gaps, config = self.gaps_with_hint(stack, 100.0)
         # the stretched delay is the clamped hint (the exponential base
         # is negligible here); allow jitter slack on the base term
         assert gaps and gaps[0] <= config.retry_after_max * 1.01
 
-    @both_stacks
+    @every_stack
     def test_no_hint_keeps_the_plain_backoff(self, stack):
         gaps, config = self.gaps_with_hint(stack, 0.0)
         # no stretch: the gap is just backoff * jitter, far below the

@@ -14,11 +14,22 @@ Since the sharded host takes its whole 2PC participant from
 host's private copy never wrote.  The sharded pin stays the old one: it
 is taken over the trace *without* those three kinds, so it still says
 that nothing the parent run did has moved.
+
+The three baseline pins were taken when the baselines became hooks of
+the one ``Coordinator`` (PR 16, which moved the static and witness runs
+once -- a quorum draw's attempt number now advances by one per attempt,
+not two -- and left the voting run where it was); the next coordinator
+refactor can tell from them whether it moved a baseline.
 """
 
 import hashlib
 import random
 
+import pytest
+
+from repro.baselines.dynamic_voting import DynamicVotingStore
+from repro.baselines.static_protocol import StaticQuorumStore
+from repro.baselines.witnesses import WitnessVotingStore
 from repro.core.store import ReplicatedStore
 from repro.shard.store import ShardedStore
 
@@ -26,6 +37,12 @@ REPLICATED_DIGEST = (
     "d83b85349a7e4c1f431fc6552357cdb32f5abe61557a7e57676c6bf62a78e355")
 SHARDED_DIGEST = (
     "77b0647d806130ece779968f30f506d0cde0f6f1e42cbebe7e827f910fbadd00")
+STATIC_DIGEST = (
+    "b62b8dcf6b515d1c44aeec5dbd712ee51541bcc4ad7e0c2e6b9d626ca37b751c")
+VOTING_DIGEST = (
+    "4a5ce028f51a475bc15913e31a0be90d83f4f81b154bc7bf67fd0b24b2f9ec78")
+WITNESS_DIGEST = (
+    "25c015d6b5217e8268665f7d95bff3587ba3b00f4be341d585648cd19418a138")
 
 
 PARTICIPANT_KINDS = {"txn-prepared", "txn-commit", "txn-abort"}
@@ -37,11 +54,17 @@ def _digest(trace, states, without=frozenset()) -> str:
     return hashlib.sha256(repr((ordered, states)).encode()).hexdigest()
 
 
-def replicated_run() -> str:
+def witness_store(n_replicas: int, **kwargs) -> WitnessVotingStore:
+    names = [f"n{i:02d}" for i in range(n_replicas)]
+    return WitnessVotingStore(names, names[-2:], **kwargs)
+
+
+def replicated_run(create=ReplicatedStore.create, baseline=False) -> str:
     """Forty sequential operations on a 9-node grid through ``join()``,
     with one node crashing a third of the way in and recovering at two
-    thirds, then an epoch check and some quiet time for propagation."""
-    store = ReplicatedStore.create(9, seed=23, trace_enabled=True)
+    thirds, then an epoch check and some quiet time for propagation.
+    A *baseline* store gets total writes and no epoch check."""
+    store = create(9, seed=23, trace_enabled=True)
     rng = random.Random(23)
     vias = store.node_names[:4]
     for i in range(40):
@@ -53,8 +76,11 @@ def replicated_run() -> str:
         if rng.random() < 0.5:
             store.read(via=via)
         else:
-            store.write({f"k{rng.randrange(6)}": i}, via=via)
-    store.check_epoch()
+            key = rng.randrange(6)
+            store.write({f"k{k}": i for k in range(6)} if baseline
+                        else {f"k{key}": i}, via=via)
+    if not baseline:
+        store.check_epoch()
     store.advance(5.0)
     store.verify()
     states = [(name, state.version, state.dversion, state.stale,
@@ -102,6 +128,15 @@ def sharded_run() -> tuple[str, set]:
 
 def test_replicated_store_run_is_unchanged():
     assert replicated_run() == REPLICATED_DIGEST
+
+
+@pytest.mark.parametrize("create, pinned", [
+    (StaticQuorumStore.create, STATIC_DIGEST),
+    (DynamicVotingStore.create, VOTING_DIGEST),
+    (witness_store, WITNESS_DIGEST),
+], ids=["static", "voting", "witness"])
+def test_baseline_store_run_is_unchanged(create, pinned):
+    assert replicated_run(create, baseline=True) == pinned
 
 
 def test_sharded_store_run_is_unchanged():

@@ -17,7 +17,6 @@ by mixing in root-free quorums.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.coteries.base import Coterie, CoterieError
 from repro.coteries.properties import minimal_quorums
@@ -56,6 +55,10 @@ def optimal_load(coterie: Coterie, kind: str = "write",
     a_eq[0, -1] = 0.0
     b_eq = np.ones(1)
     bounds = [(0.0, None)] * n_q + [(0.0, 1.0)]
+    # imported where the LP is solved: every store reaches this module
+    # through shard/rebalance -> analysis.load, and none of them solves it
+    from scipy.optimize import linprog
+
     result = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                      bounds=bounds, method="highs")
     if not result.success:

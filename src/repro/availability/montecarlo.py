@@ -36,54 +36,64 @@ protocol comparisons, not for resolving Table 1's 1e-14 values.
 Performance engines
 -------------------
 
-``engine`` selects how quorum membership is evaluated per event:
+``engine`` selects how quorum membership is evaluated per event; both
+engines run through the same one loop per estimator, which drives a
+:class:`~repro.coteries.base.QuorumEvaluator` and nothing else:
 
 * ``"bitmask"`` (default) -- each coterie is compiled once into an
-  incremental :class:`~repro.coteries.base.QuorumEvaluator`
-  (``coterie.compile(nodes)``): the up-set is an integer bitmask and a
-  failure/repair event updates per-structure counters in O(1) instead of
-  rescanning the structure.  On epoch changes the dynamic estimator
-  rebinds the evaluator in place when the structure is a uniform
-  function of the member mask (grid, default majority; see
-  :meth:`~repro.coteries.base.QuorumEvaluator.rebind_epoch`), and
-  otherwise falls back to an LRU cache of compiled epoch coteries keyed
-  by the epoch's member bitmask, so epoch flapping between a handful of
-  up-sets never re-derives the structure.
-* ``"set"`` -- the original set-of-names predicates, kept verbatim as
-  the reference implementation.
+  incremental evaluator (``coterie.compile(nodes)``): the up-set is an
+  integer bitmask and a failure/repair event updates per-structure
+  counters in O(1) instead of rescanning the structure.  On an epoch
+  change the dynamic estimator rebinds the evaluator in place when the
+  structure is a uniform function of the member mask (grid, default
+  majority; see
+  :meth:`~repro.coteries.base.QuorumEvaluator.rebind_epoch`).  A rebind
+  visits no node -- a grid member's column is its rank in the epoch
+  mask, a majority member's vote is its bit -- so an epoch change costs
+  the same at every N.  Other rules fall back to an LRU cache of
+  compiled epoch coteries keyed by the epoch's member bitmask, so epoch
+  flapping between a handful of up-sets never re-derives the structure.
+* ``"set"`` -- the reference: a
+  :class:`~repro.coteries.base.SetRecomputeEvaluator` keeps the up-set
+  as a set of names and re-runs the coterie's set-of-names predicates on
+  every query, with a fresh ``rule(epoch)`` coterie per (cached) epoch.
 
-``sampler`` selects how the flipping node is drawn:
+Event sampling
+--------------
 
-* ``"compat"`` (default) -- order-statistics selection via a Fenwick
-  tree, O(log N) per event.  This reproduces the original O(N)
-  linear-rank scan *bit for bit*: same RNG consumption, same node
-  choices, same trajectories.
-* ``"swap"`` -- swap-index up/down arrays, O(1) per event.  Identical
-  event-time/event-type process and up-count trajectory for a given
-  seed (the RNG stream is consumed identically), but the *identity* of
-  the flipped node differs, so availability estimates agree only in
-  distribution, not pathwise.
-
-Both axes are orthogonal and property-tested against each other; with
-the defaults, same-seed runs are bit-identical to the original
-implementation (a regression test pins golden values).
+The flipping node is "the rank-th eligible node in index order" for a
+rank drawn by ``rng.randrange`` -- the selection rule of the original
+O(N) linear scan, so RNG consumption, node choices and trajectories are
+*bit for bit* those of the original implementation (a regression test
+pins golden values, and a linear-scan oracle in the tests checks the
+event stream).  The up and the down nodes are two sorted lists, so the
+selection is ``up.pop(rank)`` and ``bisect.insort(down, index)``: C
+speed, and O(N) only in the sense of a ``memmove`` of at most N
+pointers.
 """
 
 from __future__ import annotations
 
 import random
-from collections import OrderedDict
+from bisect import insort
 from dataclasses import dataclass
-from typing import Optional
+from functools import lru_cache
+from typing import Callable, Iterable, Iterator, Optional
 
-from repro.coteries.base import CoterieRule
+from repro.coteries.base import (
+    Coterie,
+    CoterieRule,
+    QuorumEvaluator,
+    SetRecomputeEvaluator,
+)
 from repro.sim.seeding import derive_rng
 from repro.coteries.grid import GridCoterie
 
-_popcount = int.bit_count
-
 #: maximum number of compiled epoch coteries kept per estimator run
 EPOCH_CACHE_SIZE = 64
+
+#: one step of an estimator's timeline: (time, node index, now up)
+Event = tuple[float, int, bool]
 
 
 @dataclass
@@ -103,144 +113,39 @@ class AvailabilityEstimate:
                 f"{self.n_epoch_changes} epoch changes)")
 
 
-class _IndexedSet:
-    """A Fenwick-tree set of integers 0..n-1 with order-statistics select.
-
-    ``select(r)`` returns the r-th smallest member (0-based) in
-    O(log n); ``add``/``remove`` are O(log n).  Used by the ``compat``
-    sampler to pick "the target_rank-th eligible node in index order" --
-    the exact selection rule of the original linear scan -- without the
-    O(N) walk.
-    """
-
-    __slots__ = ("_size", "_tree")
-
-    def __init__(self, n: int, members=()):
-        size = 1
-        while size < n:
-            size <<= 1
-        self._size = size
-        self._tree = [0] * (size + 1)
-        for i in members:
-            self.add(i)
-
-    def add(self, i: int) -> None:
-        tree, size = self._tree, self._size
-        i += 1
-        while i <= size:
-            tree[i] += 1
-            i += i & -i
-
-    def remove(self, i: int) -> None:
-        tree, size = self._tree, self._size
-        i += 1
-        while i <= size:
-            tree[i] -= 1
-            i += i & -i
-
-    def select(self, rank: int) -> int:
-        """The member with 0-based *rank* in increasing index order."""
-        tree = self._tree
-        pos = 0
-        step = self._size
-        rank += 1
-        while step:
-            nxt = pos + step
-            if tree[nxt] < rank:
-                pos = nxt
-                rank -= tree[nxt]
-            step >>= 1
-        return pos
-
-
 def _site_model_events(n_nodes: int, lam: float, mu: float,
-                       horizon: float, rng: random.Random,
-                       sampler: str = "compat"):
+                       horizon: float, rng: random.Random
+                       ) -> Iterator[Event]:
     """Yield (time, node_index, now_up) events of the site model.
 
     All nodes start up.  Gillespie sampling: exponential holding time at
     total rate ``n_up*lam + n_down*mu``, then a uniformly chosen eligible
-    node flips.  Both samplers consume the RNG identically (expovariate,
-    uniform, randrange over the eligible count); they differ only in how
-    the drawn rank is mapped to a node index -- see the module docs.
+    node flips -- three draws per event (expovariate, uniform, randrange
+    over the eligible count), the drawn rank indexing the eligible nodes
+    in increasing node order (see the module docs).
     """
-    if sampler == "compat":
-        yield from _events_compat(n_nodes, lam, mu, horizon, rng)
-    elif sampler == "swap":
-        yield from _events_swap(n_nodes, lam, mu, horizon, rng)
-    else:
-        raise ValueError(f"sampler must be compat or swap, got {sampler!r}")
-
-
-def _events_compat(n_nodes: int, lam: float, mu: float,
-                   horizon: float, rng: random.Random):
-    """Rank-in-index-order selection via Fenwick trees, O(log N)/event.
-
-    Bit-identical to the original implementation's O(N) scan: the rank
-    drawn by ``rng.randrange`` indexes the eligible nodes in increasing
-    node order.
-    """
-    up_set = _IndexedSet(n_nodes, range(n_nodes))
-    down_set = _IndexedSet(n_nodes)
+    up = list(range(n_nodes))
+    down: list[int] = []
     n_up = n_nodes
     now = 0.0
     expovariate, uniform, randrange = (rng.expovariate, rng.random,
                                        rng.randrange)
     while True:
-        total_rate = n_up * lam + (n_nodes - n_up) * mu
+        fail_rate = n_up * lam
+        total_rate = fail_rate + (n_nodes - n_up) * mu
         if total_rate <= 0:
             return
         now += expovariate(total_rate)
         if now >= horizon:
             return
-        if uniform() * total_rate < n_up * lam:
-            index = up_set.select(randrange(n_up))
-            up_set.remove(index)
-            down_set.add(index)
+        if uniform() * total_rate < fail_rate:
+            index = up.pop(randrange(n_up))
+            insort(down, index)
             n_up -= 1
             yield now, index, False
         else:
-            index = down_set.select(randrange(n_nodes - n_up))
-            down_set.remove(index)
-            up_set.add(index)
-            n_up += 1
-            yield now, index, True
-
-
-def _events_swap(n_nodes: int, lam: float, mu: float,
-                 horizon: float, rng: random.Random):
-    """Swap-index selection, O(1)/event.
-
-    ``order[:n_up]`` holds the up nodes, ``order[n_up:]`` the down
-    nodes, in arbitrary order; the drawn rank indexes straight into the
-    eligible region and the chosen node is swapped to the boundary.
-    Uniform over eligible nodes (same distribution as ``compat``) but
-    not the same node for the same draw.
-    """
-    order = list(range(n_nodes))
-    n_up = n_nodes
-    now = 0.0
-    expovariate, uniform, randrange = (rng.expovariate, rng.random,
-                                       rng.randrange)
-    while True:
-        total_rate = n_up * lam + (n_nodes - n_up) * mu
-        if total_rate <= 0:
-            return
-        now += expovariate(total_rate)
-        if now >= horizon:
-            return
-        if uniform() * total_rate < n_up * lam:
-            r = randrange(n_up)
-            n_up -= 1
-            index = order[r]
-            order[r] = order[n_up]
-            order[n_up] = index
-            yield now, index, False
-        else:
-            r = n_up + randrange(n_nodes - n_up)
-            index = order[r]
-            order[r] = order[n_up]
-            order[n_up] = index
+            index = down.pop(randrange(n_nodes - n_up))
+            insort(up, index)
             n_up += 1
             yield now, index, True
 
@@ -249,51 +154,33 @@ def simulate_static_availability(n_nodes: int, lam: float, mu: float,
                                  horizon: float, seed: int = 0,
                                  rule: CoterieRule = GridCoterie,
                                  kind: str = "write",
-                                 engine: str = "bitmask",
-                                 sampler: str = "compat"
+                                 engine: str = "bitmask"
                                  ) -> AvailabilityEstimate:
     """Fraction of time the up-set contains a static quorum."""
     _check_kind(kind)
-    _check_engine(engine)
-    # derive_rng with no namespace is exactly Random(seed): the golden
-    # regression values pin this stream bit-for-bit
-    rng = derive_rng(seed)
+    _check_horizon(horizon)
     nodes = [f"n{i:03d}" for i in range(n_nodes)]
-    coterie = rule(nodes)
-    events = _site_model_events(n_nodes, lam, mu, horizon, rng, sampler)
+    evaluator = _compiler(engine, nodes)(rule(nodes))
+    evaluator.reset((1 << n_nodes) - 1)
+    predicate = (evaluator.is_write_quorum if kind == "write"
+                 else evaluator.is_read_quorum)
+    node_up, node_down = evaluator.node_up, evaluator.node_down
     available_time = 0.0
     last_time = 0.0
     n_events = 0
-    if engine == "bitmask":
-        evaluator = coterie.compile(nodes)
-        evaluator.reset((1 << n_nodes) - 1)
-        predicate = (evaluator.is_write_quorum if kind == "write"
-                     else evaluator.is_read_quorum)
-        node_up, node_down = evaluator.node_up, evaluator.node_down
-        was_available = predicate()
-        for now, index, now_up in events:
-            n_events += 1
-            if was_available:
-                available_time += now - last_time
-            if now_up:
-                node_up(index)
-            else:
-                node_down(index)
-            last_time, was_available = now, predicate()
-    else:
-        predicate = (coterie.is_write_quorum if kind == "write"
-                     else coterie.is_read_quorum)
-        up: set[str] = set(nodes)
-        was_available = predicate(up)
-        for now, index, now_up in events:
-            n_events += 1
-            if was_available:
-                available_time += now - last_time
-            if now_up:
-                up.add(nodes[index])
-            else:
-                up.discard(nodes[index])
-            last_time, was_available = now, predicate(up)
+    was_available = predicate()
+    # derive_rng with no namespace is exactly Random(seed): the golden
+    # regression values pin this stream bit-for-bit
+    for now, index, now_up in _site_model_events(n_nodes, lam, mu, horizon,
+                                                 derive_rng(seed)):
+        n_events += 1
+        if was_available:
+            available_time += now - last_time
+        if now_up:
+            node_up(index)
+        else:
+            node_down(index)
+        last_time, was_available = now, predicate()
     if was_available:
         available_time += horizon - last_time
     availability = available_time / horizon
@@ -301,190 +188,30 @@ def simulate_static_availability(n_nodes: int, lam: float, mu: float,
                                 n_events, 0, 0)
 
 
-class _EpochTracker:
-    """The dynamic protocol's epoch state, exact or idealised (set engine).
-
-    This is the reference implementation: the up-set is a set of names
-    and every check re-runs the set-based write-quorum predicate.  The
-    only optimisation is the coterie cache -- ``rule(epoch)`` instances
-    are memoised per epoch tuple (LRU), so an epoch flapping between two
-    up-sets stops reconstructing :class:`GridCoterie` objects each time.
-    Coterie construction is deterministic and stateless, so caching
-    cannot change any answer.
-    """
-
-    def __init__(self, nodes, rule, idealized: bool,
-                 cache_size: int = EPOCH_CACHE_SIZE):
-        self.nodes = nodes
-        self.rule = rule
-        self.idealized = idealized
-        self._cache: OrderedDict = OrderedDict()
-        self._cache_size = cache_size
-        self.epoch = tuple(nodes)
-        self.coterie = self._coterie_for(self.epoch)
-        self.min_epoch = min(len(nodes), 3)
-        self.n_epoch_changes = 0
-
-    def _coterie_for(self, epoch: tuple):
-        cache = self._cache
-        coterie = cache.get(epoch)
-        if coterie is None:
-            coterie = self.rule(epoch)
-            cache[epoch] = coterie
-            if len(cache) > self._cache_size:
-                cache.popitem(last=False)
-        else:
-            cache.move_to_end(epoch)
-        return coterie
-
-    def check(self, up: set[str]) -> bool:
-        """Run one epoch check; returns success."""
-        if self._check_succeeds(up):
-            new_epoch = tuple(name for name in self.nodes if name in up)
-            if new_epoch != self.epoch:
-                self.epoch = new_epoch
-                self.coterie = self._coterie_for(new_epoch)
-                self.n_epoch_changes += 1
-            return True
-        return False
-
-    def _check_succeeds(self, up: set[str]) -> bool:
-        if not self.idealized:
-            return self.coterie.is_write_quorum(up)
-        members_up = sum(1 for name in self.epoch if name in up)
-        if len(self.epoch) > self.min_epoch:
-            return (members_up >= len(self.epoch) - 1
-                    and members_up >= self.min_epoch)
-        return members_up == len(self.epoch)
-
-    def operation_available(self, up: set[str], kind: str) -> bool:
-        """Can a read/write find its quorum over the *current* epoch?"""
-        if kind == "write":
-            if self.idealized:
-                # in the idealised model, write availability coincides
-                # with epoch-check success (the Figure 3 "upper row")
-                return self._check_succeeds(up)
-            return self.coterie.is_write_quorum(up)
-        return self.coterie.is_read_quorum(up)
+def _with_check_ticks(events: Iterable[Event], check_interval: float,
+                      horizon: float) -> Iterator[Event]:
+    """Merge the periodic epoch checks into *events* as ``index = -1``
+    steps: a check due at or before an event runs before it, and checks
+    keep running after the last event up to the horizon."""
+    next_check = check_interval
+    for event in events:
+        while next_check <= event[0]:
+            yield next_check, -1, False
+            next_check += check_interval
+        yield event
+    while next_check < horizon:
+        yield next_check, -1, False
+        next_check += check_interval
 
 
-class _SetDynamicState:
-    """Adapter giving :class:`_EpochTracker` the shared loop interface."""
-
-    def __init__(self, nodes, rule, idealized: bool):
-        self.nodes = nodes
-        self.tracker = _EpochTracker(nodes, rule, idealized)
-        self.up: set[str] = set(nodes)
-
-    def apply_event(self, index: int, now_up: bool) -> None:
-        if now_up:
-            self.up.add(self.nodes[index])
-        else:
-            self.up.discard(self.nodes[index])
-
-    def check(self) -> bool:
-        return self.tracker.check(self.up)
-
-    def available(self, kind: str) -> bool:
-        return self.tracker.operation_available(self.up, kind)
-
-    @property
-    def n_epoch_changes(self) -> int:
-        return self.tracker.n_epoch_changes
-
-
-class _BitmaskDynamicState:
-    """The dynamic epoch state on compiled evaluators and bitmasks.
-
-    The up-set and the epoch member list are bitmasks over the full
-    replica universe; the current epoch's coterie is compiled once over
-    that universe (bit positions never move) and updated incrementally
-    per event.  Epoch changes take one of two paths:
-
-    * **rebind** -- evaluators whose structure is a uniform function of
-      the epoch mask (grid, default majority) re-derive their tables in
-      place from the new mask, with no coterie construction at all;
-    * **cached compile** -- other rules fall back to an LRU cache of
-      compiled (coterie, evaluator) pairs keyed by the epoch bitmask,
-      so re-entering a recently seen epoch costs one tally reload
-      instead of re-deriving the whole structure.
-
-    The rebind path matters: at N >= 25 nearly every event changes the
-    epoch and masks rarely recur within any reasonable cache window, so
-    per-epoch-change construction cost is the dynamic hot path.
-    """
-
-    def __init__(self, nodes, rule, idealized: bool,
-                 cache_size: int = EPOCH_CACHE_SIZE):
-        self.nodes = tuple(nodes)
-        self.rule = rule
-        self.idealized = idealized
-        n = len(self.nodes)
-        self.full_mask = (1 << n) - 1
-        self.min_epoch = min(n, 3)
-        self.n_epoch_changes = 0
-        self._cache: OrderedDict = OrderedDict()
-        self._cache_size = cache_size
-        self.up_mask = self.full_mask
-        self.epoch_mask = self.full_mask
-        self.epoch_size = n
-        self.evaluator = self._evaluator_for(self.full_mask)
-        self.evaluator.reset_full()
-        self._rebind = self.evaluator.supports_rebind
-
-    def _evaluator_for(self, epoch_mask: int):
-        cache = self._cache
-        evaluator = cache.get(epoch_mask)
-        if evaluator is None:
-            epoch = tuple(name for i, name in enumerate(self.nodes)
-                          if epoch_mask >> i & 1)
-            evaluator = self.rule(epoch).compile(self.nodes)
-            cache[epoch_mask] = evaluator
-            if len(cache) > self._cache_size:
-                cache.popitem(last=False)
-        else:
-            cache.move_to_end(epoch_mask)
-        return evaluator
-
-    def apply_event(self, index: int, now_up: bool) -> None:
-        if now_up:
-            self.up_mask |= 1 << index
-            self.evaluator.node_up(index)
-        else:
-            self.up_mask &= ~(1 << index)
-            self.evaluator.node_down(index)
-
-    def check(self) -> bool:
-        if self._check_succeeds():
-            if self.up_mask != self.epoch_mask:
-                self.epoch_mask = self.up_mask
-                self.epoch_size = _popcount(self.up_mask)
-                if self._rebind:
-                    self.evaluator.rebind_epoch(self.up_mask)
-                else:
-                    self.evaluator = self._evaluator_for(self.up_mask)
-                    # the new epoch is exactly the up-set, so every
-                    # member of the new coterie is up: O(1) tally reload
-                    self.evaluator.reset_full()
-                self.n_epoch_changes += 1
-            return True
-        return False
-
-    def _check_succeeds(self) -> bool:
-        if not self.idealized:
-            return self.evaluator.is_write_quorum()
-        members_up = _popcount(self.epoch_mask & self.up_mask)
-        if self.epoch_size > self.min_epoch:
-            return (members_up >= self.epoch_size - 1
-                    and members_up >= self.min_epoch)
-        return members_up == self.epoch_size
-
-    def available(self, kind: str) -> bool:
-        if kind == "write":
-            if self.idealized:
-                return self._check_succeeds()
-            return self.evaluator.is_write_quorum()
-        return self.evaluator.is_read_quorum()
+def _idealized_check(epoch_mask: int, up_mask: int, min_epoch: int) -> bool:
+    """Figure 3's check: an epoch above the minimum size sheds one
+    failure at a time; at the minimum it needs every member up."""
+    epoch_size = epoch_mask.bit_count()
+    members_up = (epoch_mask & up_mask).bit_count()
+    if epoch_size > min_epoch:
+        return members_up >= epoch_size - 1 and members_up >= min_epoch
+    return members_up == epoch_size
 
 
 def simulate_dynamic_availability(
@@ -493,60 +220,96 @@ def simulate_dynamic_availability(
         idealized: bool = False,
         check_interval: Optional[float] = None,
         kind: str = "write",
-        engine: str = "bitmask",
-        sampler: str = "compat") -> AvailabilityEstimate:
-    """Fraction of time the dynamic epoch protocol is available."""
+        engine: str = "bitmask") -> AvailabilityEstimate:
+    """Fraction of time the dynamic epoch protocol is available.
+
+    The epoch state is one evaluator over the full replica universe (bit
+    positions never move): its ``v_mask`` is the epoch, its ``mask`` the
+    up-set.  An epoch change rebinds it in place where the rule allows
+    and otherwise swaps in the (cached) evaluator of the new epoch.
+    """
     _check_kind(kind)
-    _check_engine(engine)
+    _check_horizon(horizon)
     if idealized and check_interval is not None:
         raise ValueError("idealized mode assumes instantaneous checks")
     if check_interval is not None and check_interval <= 0:
         raise ValueError("check_interval must be positive")
+    nodes = [f"n{i:03d}" for i in range(n_nodes)]
+    compile_ = _compiler(engine, nodes)
+
+    @lru_cache(maxsize=EPOCH_CACHE_SIZE)
+    def evaluator_for(epoch_mask: int) -> QuorumEvaluator:
+        return compile_(rule(tuple(name for i, name in enumerate(nodes)
+                                   if epoch_mask >> i & 1)))
+
+    epoch_mask = (1 << n_nodes) - 1
+    evaluator = evaluator_for(epoch_mask)
+    evaluator.reset_full()
+    min_epoch = min(n_nodes, 3)
+    write = kind == "write"
+    instant = check_interval is None
     # derive_rng with no namespace is exactly Random(seed): the golden
     # regression values pin this stream bit-for-bit
-    rng = derive_rng(seed)
-    nodes = [f"n{i:03d}" for i in range(n_nodes)]
-    if engine == "bitmask":
-        state = _BitmaskDynamicState(nodes, rule, idealized)
-    else:
-        state = _SetDynamicState(nodes, rule, idealized)
-    apply_event, run_check, available = (state.apply_event, state.check,
-                                         state.available)
+    timeline: Iterable[Event] = _site_model_events(
+        n_nodes, lam, mu, horizon, derive_rng(seed))
+    if check_interval is not None:
+        timeline = _with_check_ticks(timeline, check_interval, horizon)
     available_time = 0.0
     last_time = 0.0
     was_available = True
-    n_events = n_stuck = 0
-    next_check = check_interval if check_interval is not None else None
-
-    def account(now: float, now_available: bool) -> None:
-        nonlocal available_time, last_time, was_available, n_stuck
+    n_events = n_epoch_changes = n_stuck = 0
+    for now, index, now_up in timeline:
+        if index < 0:
+            checking = True
+        else:
+            n_events += 1
+            if now_up:
+                evaluator.node_up(index)
+            else:
+                evaluator.node_down(index)
+            checking = instant  # site-model assumption (4)
+        if checking and (
+                _idealized_check(epoch_mask, evaluator.mask, min_epoch)
+                if idealized else evaluator.is_write_quorum()):
+            # a successful check makes the epoch exactly the up-set, and
+            # a coterie's full member set holds every one of its quorums
+            if evaluator.mask != epoch_mask:
+                epoch_mask = evaluator.mask
+                if evaluator.supports_rebind:
+                    evaluator.rebind_epoch(epoch_mask)
+                else:
+                    evaluator = evaluator_for(epoch_mask)
+                    evaluator.reset_full()
+                n_epoch_changes += 1
+            now_available = True
+        elif not write:
+            now_available = evaluator.is_read_quorum()
+        elif idealized:
+            # write availability coincides with epoch-check success (the
+            # Figure 3 "upper row")
+            now_available = _idealized_check(epoch_mask, evaluator.mask,
+                                             min_epoch)
+        else:
+            now_available = evaluator.is_write_quorum()
         if was_available:
             available_time += now - last_time
-        if was_available and not now_available:
-            n_stuck += 1
+            if not now_available:
+                n_stuck += 1
         last_time, was_available = now, now_available
-
-    for now, index, now_up in _site_model_events(n_nodes, lam, mu,
-                                                 horizon, rng, sampler):
-        # run any periodic checks scheduled before this event
-        while next_check is not None and next_check <= now:
-            run_check()
-            account(next_check, available(kind))
-            next_check += check_interval
-        n_events += 1
-        apply_event(index, now_up)
-        if check_interval is None:
-            run_check()  # site-model assumption (4)
-        account(now, available(kind))
-    while next_check is not None and next_check < horizon:
-        run_check()
-        account(next_check, available(kind))
-        next_check += check_interval
     if was_available:
         available_time += horizon - last_time
     availability = available_time / horizon
     return AvailabilityEstimate(availability, 1.0 - availability, horizon,
-                                n_events, state.n_epoch_changes, n_stuck)
+                                n_events, n_epoch_changes, n_stuck)
+
+
+def _compiler(engine: str, nodes) -> Callable[[Coterie], QuorumEvaluator]:
+    """How *engine* turns a coterie into an evaluator over *nodes*."""
+    if engine == "bitmask":
+        return lambda coterie: coterie.compile(nodes)
+    if engine == "set":
+        return lambda coterie: SetRecomputeEvaluator(coterie, nodes)
+    raise ValueError(f"engine must be bitmask or set, got {engine!r}")
 
 
 def _check_kind(kind: str) -> None:
@@ -554,6 +317,6 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"kind must be read or write, got {kind!r}")
 
 
-def _check_engine(engine: str) -> None:
-    if engine not in ("bitmask", "set"):
-        raise ValueError(f"engine must be bitmask or set, got {engine!r}")
+def _check_horizon(horizon: float) -> None:
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")

@@ -33,6 +33,7 @@ from typing import Optional, Sequence
 
 from repro.availability.montecarlo import (
     AvailabilityEstimate,
+    _check_horizon,
     simulate_dynamic_availability,
     simulate_static_availability,
 )
@@ -79,15 +80,14 @@ def _run_shard(params: tuple) -> AvailabilityEstimate:
     if rule is None:
         rule = _fork_rule
     if kwargs.get("engine") == "vector":
-        # the trajectory-batched numpy estimators; the scalar-only
-        # sampler axis does not apply (one Generator drives everything)
+        # the trajectory-batched numpy estimators
         from repro.availability.vectorized import (
             simulate_dynamic_availability_vector,
             simulate_static_availability_vector,
         )
 
         kwargs = {key: value for key, value in kwargs.items()
-                  if key not in ("engine", "sampler")}
+                  if key != "engine"}
         if protocol == "static":
             return simulate_static_availability_vector(
                 n_nodes, lam, mu, horizon, seed=seed, rule=rule, **kwargs)
@@ -116,7 +116,6 @@ def simulate_availability_parallel(
         rule: CoterieRule = GridCoterie,
         kind: str = "write",
         engine: str = "bitmask",
-        sampler: str = "compat",
         idealized: bool = False,
         check_interval: Optional[float] = None) -> AvailabilityEstimate:
     """Estimate availability by fanning shards out over processes.
@@ -140,9 +139,8 @@ def simulate_availability_parallel(
         workers = os.cpu_count() or 1
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    kwargs = {"kind": kind, "engine": engine, "sampler": sampler}
+    _check_horizon(horizon)
+    kwargs = {"kind": kind, "engine": engine}
     if protocol == "dynamic":
         kwargs["idealized"] = idealized
         kwargs["check_interval"] = check_interval

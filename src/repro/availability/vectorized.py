@@ -26,8 +26,7 @@ estimator must respect epoch transitions (a successful check rebinds
 the epoch to the up-set, changing the predicate for every later event),
 so it scores with a doubling *window* scan: evaluate a window of events
 under the current epoch, find the first successful check whose up-set
-differs from the epoch (exactly the scalar
-:class:`~repro.availability.montecarlo._BitmaskDynamicState` transition
+differs from the epoch (exactly the scalar estimator's transition
 condition), keep the prefix, install the new epoch, and continue after
 the transition.  Between transitions whole runs of events are scored in
 one call; across a transition boundary the window shrinks, which is the
@@ -56,6 +55,7 @@ import numpy as np
 from repro.availability.montecarlo import (
     EPOCH_CACHE_SIZE,
     AvailabilityEstimate,
+    _check_horizon,
     _check_kind,
 )
 from repro.coteries.base import CoterieRule
@@ -190,8 +190,8 @@ class _VectorEpochState:
 
     The epoch is a boolean member vector over the universe; its coterie
     is compiled to a :class:`BatchEvaluator` whose kernels ignore bits
-    outside the epoch.  Epoch changes mirror the scalar
-    ``_BitmaskDynamicState``: rebind in place for uniform families,
+    outside the epoch.  Epoch changes mirror the scalar estimator's:
+    rebind in place for uniform families,
     otherwise an LRU cache of compiled epoch evaluators keyed by the
     member bitmask.
     """
@@ -381,6 +381,7 @@ def simulate_static_availability_vector(
         block: int = DEFAULT_BLOCK) -> AvailabilityEstimate:
     """Vectorized :func:`~repro.availability.montecarlo.simulate_static_availability`."""
     _check_kind(kind)
+    _check_horizon(horizon)
     _check_rates(lam, mu)
     gen = derive_generator(seed, "availability.vector")
     nodes = [f"n{i:03d}" for i in range(n_nodes)]
@@ -395,6 +396,7 @@ def simulate_dynamic_availability_vector(
         block: int = DEFAULT_BLOCK) -> AvailabilityEstimate:
     """Vectorized :func:`~repro.availability.montecarlo.simulate_dynamic_availability`."""
     _check_kind(kind)
+    _check_horizon(horizon)
     _check_rates(lam, mu)
     if idealized:
         raise ValueError("idealized mode is only supported by the scalar "

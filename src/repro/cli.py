@@ -151,14 +151,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         args.n, args.lam, args.mu, args.horizon, seed=args.seed,
         workers=args.workers, protocol="dynamic",
         check_interval=args.check_interval, kind=args.kind,
-        engine=args.engine, sampler=args.sampler)
+        engine=args.engine)
     print(f"N = {args.n}, lam = {args.lam}, mu = {args.mu} "
           f"(p = {args.mu / (args.lam + args.mu):.3f}), "
           f"horizon = {args.horizon:g}, kind = {args.kind}")
     checks = ("instantaneous" if args.check_interval is None
               else f"every {args.check_interval:g}")
     print(f"epoch checks: {checks}; engine = {args.engine}, "
-          f"sampler = {args.sampler}, workers = {args.workers}")
+          f"workers = {args.workers}")
     print(estimate)
     return 0
 
@@ -522,12 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--engine", choices=["bitmask", "set", "vector"],
                           default="bitmask",
                           help="quorum evaluation engine (vector = "
-                               "trajectory-batched numpy; ignores "
-                               "--sampler)")
-    simulate.add_argument("--sampler", choices=["compat", "swap"],
-                          default="compat",
-                          help="event-node sampler (compat reproduces "
-                               "historical seeds bit for bit)")
+                               "trajectory-batched numpy)")
     simulate.set_defaults(handler=_cmd_simulate)
 
     demo = sub.add_parser("demo", help="end-to-end protocol scenario")

@@ -1,6 +1,10 @@
 """Naor-Wool optimal load of the implemented quorum systems."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -102,3 +106,22 @@ class TestEmpiricalComparison:
         result = empirical_vs_optimal(TreeCoterie(names(7)))
         assert result["empirical"] == pytest.approx(1.0)
         assert result["ratio"] > 1.3
+
+
+def test_the_stores_do_not_import_the_lp_solver():
+    """``shard/rebalance -> analysis.load -> analysis/__init__`` reaches
+    this module from every store; scipy (0.36 s, ~45 MB) is imported
+    where the LP is solved, not where the module is loaded."""
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    path = os.pathsep.join(filter(None, [str(src),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "import repro.core.store, repro.shard.store, repro.availability\n"
+         "import repro.analysis.optimal_load\n"
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+        text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "[]"

@@ -1,8 +1,7 @@
 """Same-seed regression pins for the Monte Carlo estimators.
 
-The bitmask engine and the Fenwick-tree ``compat`` sampler are pure
-performance work: with the default ``engine="bitmask"``,
-``sampler="compat"`` every estimate must be *bit-identical* to the
+The bitmask engine and the sorted-list event sampler are pure
+performance work: every estimate must be *bit-identical* to the
 original O(N)-per-event implementation.  This module enforces that
 three ways:
 
@@ -10,15 +9,17 @@ three ways:
   counters captured from the pre-optimisation implementation, pinned
   for both engines;
 * a verbatim copy of the original linear-scan event generator, checked
-  event-for-event against the Fenwick ``compat`` sampler;
-* cross-engine and cross-sampler invariants (set == bitmask pathwise;
-  ``swap`` preserves the event-time/type process).
+  event-for-event against the sampler;
+* the cross-engine invariant (set == bitmask pathwise).
 """
 
+import ast
+import inspect
 import random
 
 import pytest
 
+from repro.availability import montecarlo, simulate_availability_parallel
 from repro.availability.montecarlo import (
     _site_model_events,
     simulate_dynamic_availability,
@@ -98,7 +99,7 @@ def test_dynamic_golden_values(engine, n, lam, mu, horizon, seed, kind,
 
 def _original_site_model_events(n_nodes, lam, mu, horizon, rng):
     """The pre-optimisation event generator, copied verbatim: O(N) linear
-    rank scan per event.  The ``compat`` sampler must reproduce it."""
+    rank scan per event.  The sampler must reproduce it."""
     up = [True] * n_nodes
     n_up = n_nodes
     now = 0.0
@@ -127,67 +128,34 @@ def _original_site_model_events(n_nodes, lam, mu, horizon, rng):
                 seen += 1
 
 
-@pytest.mark.parametrize("n,seed", [(1, 0), (3, 1), (9, 7), (25, 3),
-                                    (60, 11)])
-def test_compat_sampler_reproduces_original_generator(n, seed):
+@pytest.mark.parametrize("n,seed", [(1, 0), (2, 5), (3, 1), (9, 7),
+                                    (25, 3), (60, 11), (100, 13)])
+def test_sampler_reproduces_original_generator(n, seed):
+    """Two sorted lists and ``pop(rank)`` select the node the linear
+    scan selects: identical ``(time, index, up)`` streams."""
     original = list(_original_site_model_events(
         n, 1.0, 3.0, 200.0, random.Random(seed)))
-    compat = list(_site_model_events(
-        n, 1.0, 3.0, 200.0, random.Random(seed), sampler="compat"))
-    assert compat == original
+    sampled = list(_site_model_events(
+        n, 1.0, 3.0, 200.0, random.Random(seed)))
+    assert sampled == original
     assert len(original) > 0
 
 
-@pytest.mark.parametrize("n,seed", [(3, 1), (9, 7), (25, 3)])
-def test_swap_sampler_preserves_event_process(n, seed):
-    """``swap`` consumes the RNG stream identically: same event times,
-    same failure/repair types, same up-count trajectory -- only the
-    identity of the flipped node may differ."""
-    compat = list(_site_model_events(
-        n, 1.0, 3.0, 200.0, random.Random(seed), sampler="compat"))
-    swap = list(_site_model_events(
-        n, 1.0, 3.0, 200.0, random.Random(seed), sampler="swap"))
-    assert len(compat) == len(swap)
-    n_up_c = n_up_s = n
-    for (t_c, _i_c, up_c), (t_s, _i_s, up_s) in zip(compat, swap):
-        assert t_c == t_s
-        assert up_c == up_s
-        n_up_c += 1 if up_c else -1
-        n_up_s += 1 if up_s else -1
-        assert n_up_c == n_up_s
-
-
-def test_swap_sampler_is_a_valid_trajectory():
-    """Every swap event is a strict state flip of a real node."""
-    n = 12
-    up = [True] * n
-    for _now, index, now_up in _site_model_events(
-            n, 1.0, 2.0, 300.0, random.Random(5), sampler="swap"):
-        assert 0 <= index < n
-        assert up[index] != now_up
-        up[index] = now_up
-
-
-@pytest.mark.parametrize("sampler", ["compat", "swap"])
-def test_engines_agree_pathwise_for_any_sampler(sampler):
+def test_engines_agree_pathwise():
     """set vs bitmask is a pure evaluation-strategy change: identical
-    results for the same seed and sampler, on every estimator."""
+    results for the same seed, on every estimator."""
     for rule in (GridCoterie, MajorityCoterie, TreeCoterie):
         a = simulate_static_availability(11, 1.0, 3.0, 400.0, seed=2,
-                                         rule=rule, engine="bitmask",
-                                         sampler=sampler)
+                                         rule=rule, engine="bitmask")
         b = simulate_static_availability(11, 1.0, 3.0, 400.0, seed=2,
-                                         rule=rule, engine="set",
-                                         sampler=sampler)
+                                         rule=rule, engine="set")
         assert a == b
     for kwargs in ({}, {"check_interval": 0.7}, {"idealized": True},
                    {"kind": "read"}):
         a = simulate_dynamic_availability(10, 1.0, 3.0, 400.0, seed=6,
-                                          engine="bitmask",
-                                          sampler=sampler, **kwargs)
+                                          engine="bitmask", **kwargs)
         b = simulate_dynamic_availability(10, 1.0, 3.0, 400.0, seed=6,
-                                          engine="set", sampler=sampler,
-                                          **kwargs)
+                                          engine="set", **kwargs)
         assert a == b
 
 
@@ -202,10 +170,47 @@ def test_dynamic_engines_agree_for_non_rebindable_rule():
         assert a == b
 
 
-def test_bad_engine_and_sampler_rejected():
+def test_bad_engine_rejected_and_sampler_gone():
     with pytest.raises(ValueError):
         simulate_static_availability(5, 1.0, 2.0, 10.0, engine="simd")
     with pytest.raises(ValueError):
-        simulate_static_availability(5, 1.0, 2.0, 10.0, sampler="magic")
-    with pytest.raises(ValueError):
         simulate_dynamic_availability(5, 1.0, 2.0, 10.0, engine="simd")
+    with pytest.raises(TypeError):
+        simulate_static_availability(5, 1.0, 2.0, 10.0, sampler="compat")
+
+
+@pytest.mark.parametrize("horizon", [0, 0.0, -1.0])
+def test_non_positive_horizon_rejected(horizon):
+    """Was ZeroDivisionError at 0 and ``availability=1 over t=-1``."""
+    from repro.availability import (
+        simulate_dynamic_availability_vector,
+        simulate_static_availability_vector,
+    )
+    for estimator in (simulate_static_availability,
+                      simulate_dynamic_availability,
+                      simulate_static_availability_vector,
+                      simulate_dynamic_availability_vector):
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            estimator(9, 1.0, 19.0, horizon)
+
+
+def test_one_sampler_and_one_loop_per_estimator():
+    """The Fenwick tree, the ``swap`` sampler and the per-engine copies
+    of the estimator loops are gone (ROADMAP 3(d)); this keeps them
+    from growing back."""
+    tree = ast.parse(inspect.getsource(montecarlo))
+    defined = {node.name: node for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not {"_IndexedSet", "_events_swap", "_events_compat"} & set(defined)
+    draws = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "expovariate"]
+    assert len(draws) == 1
+    for name in ("simulate_static_availability",
+                 "simulate_dynamic_availability"):
+        loops = [node for node in ast.walk(defined[name])
+                 if isinstance(node, (ast.For, ast.While))]
+        assert len(loops) == 1, name
+    for estimator in (simulate_static_availability,
+                      simulate_dynamic_availability,
+                      simulate_availability_parallel, _site_model_events):
+        assert "sampler" not in inspect.signature(estimator).parameters

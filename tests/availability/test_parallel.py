@@ -67,10 +67,10 @@ class TestWorkersOne:
     def test_options_forwarded(self):
         parallel = simulate_availability_parallel(
             10, 1.0, 3.0, 500.0, seed=4, workers=1, check_interval=0.5,
-            engine="set", sampler="swap")
+            engine="set")
         serial = simulate_dynamic_availability(
             10, 1.0, 3.0, 500.0, seed=4, check_interval=0.5,
-            engine="set", sampler="swap")
+            engine="set")
         assert parallel == serial
 
 

@@ -13,6 +13,12 @@ enforced property-style across all coterie families and sizes up to
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
 
 from repro.coteries import CoterieError, MajorityCoterie, WeightedVotingCoterie
 from repro.coteries.base import SetRecomputeEvaluator
@@ -217,3 +223,75 @@ class TestRebindEpoch:
             assert not evaluator.supports_rebind
             with pytest.raises(CoterieError):
                 evaluator.rebind_epoch(0b1)
+
+
+class RebindMachine(RuleBasedStateMachine):
+    """A rebound evaluator keeps no per-node table: a grid member's
+    column is its rank in the epoch mask, a majority member's vote is
+    its bit.  So after *any* interleaving of rebinds, flips (of members
+    and non-members), resets and full resets, both verdicts must be
+    those of ``rule(members)`` compiled from scratch and of the set
+    predicates."""
+
+    @initialize(n=st.integers(min_value=1, max_value=64),
+                cover=st.sampled_from(["physical", "full"]))
+    def compile(self, n, cover):
+        self.universe = names(n)
+        self.rules = [lambda nodes: GridCoterie(nodes, column_cover=cover),
+                      MajorityCoterie]
+        self.evaluators = [make(self.universe).compile(self.universe)
+                           for make in self.rules]
+        self.full = self.members = (1 << n) - 1
+        self.up = 0
+        for evaluator in self.evaluators:
+            assert evaluator.supports_rebind
+
+    @rule(data=st.data())
+    def rebind_epoch(self, data):
+        mask = data.draw(st.integers(min_value=1, max_value=self.full))
+        for evaluator in self.evaluators:
+            evaluator.rebind_epoch(mask)
+        self.members = self.up = mask
+
+    @rule(data=st.data())
+    def flip(self, data):
+        i = data.draw(st.integers(min_value=0,
+                                  max_value=len(self.universe) - 1))
+        now_up = not self.up >> i & 1
+        for evaluator in self.evaluators:
+            (evaluator.node_up if now_up else evaluator.node_down)(i)
+        self.up ^= 1 << i
+
+    @rule(data=st.data())
+    def reset(self, data):
+        self.up = data.draw(st.integers(min_value=0, max_value=self.full))
+        for evaluator in self.evaluators:
+            evaluator.reset(self.up)
+
+    @rule()
+    def reset_full(self):
+        for evaluator in self.evaluators:
+            evaluator.reset_full()
+        self.up = self.members
+
+    @invariant()
+    def verdicts_are_those_of_a_fresh_compile(self):
+        members = [name for i, name in enumerate(self.universe)
+                   if self.members >> i & 1]
+        live = mask_names(self.universe, self.up)
+        for make, evaluator in zip(self.rules, self.evaluators):
+            reference = make(members)
+            fresh = reference.compile(self.universe)
+            assert evaluator.mask == self.up
+            assert evaluator.v_mask == self.members
+            assert (evaluator.is_read_quorum()
+                    == fresh.is_read_quorum(self.up)
+                    == reference.is_read_quorum(live))
+            assert (evaluator.is_write_quorum()
+                    == fresh.is_write_quorum(self.up)
+                    == reference.is_write_quorum(live))
+
+
+RebindMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None)
+TestRebindMachine = RebindMachine.TestCase

@@ -1,21 +1,26 @@
 #!/usr/bin/env python3
 """Do same-seed simulated outcomes repeat against a base ref?
 
-    python scripts/same_digests.py <base-ref>
+    python scripts/same_digests.py <base-ref | directory>
 
-Checks *base-ref* out with ``git worktree`` into a temporary directory,
-runs ``bench/run.py --workload W --seed S --seconds 2 --digest`` in both
+Checks *base-ref* out with ``git worktree`` into a temporary directory --
+or, given an existing directory (a ``git clone`` of the base, where the
+sandbox refuses ``git worktree add``), uses that tree as it is -- runs
+``bench/run.py --workload W --seed S --seconds 2 --digest`` in both
 trees for the four store workloads and seeds 1, 2 and 17, and prints one
-``same`` / ``DIFF`` row per run for the hash of every simulated sample
-(``sim_sha256``) and for the ``events`` / ``messages`` / ``rpc_attempts``
-counts.  Exits non-zero on any ``DIFF``.  A change to the simulation
-kernel, the 2PC participant or the coordinator that claims "no simulated
-outcome moves" is checked with this (docs: the verify skill).
+row per run: ``same`` / ``DIFF`` for the hash of every simulated sample
+(``sim_sha256``) and for the ``messages`` / ``rpc_attempts`` counts, and
+``events a -> b`` for the queue entries, which are a *cost*: equal or
+lower passes, higher is ``ROSE``.  Exits non-zero on any ``DIFF`` or
+``ROSE``.  A change to the simulation kernel, the 2PC participant or the
+coordinator that claims "no simulated outcome moves" is checked with
+this (docs: the verify skill).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import subprocess
 import sys
@@ -27,7 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("single_item_seq", "sharded_read_heavy",
              "sharded_write_contended", "faulty_epochs")
 SEEDS = (1, 2, 17)
-COUNTS = ("events", "messages", "rpc_attempts")
+COUNTS = ("messages", "rpc_attempts")     # "events" is a cost: may fall
 
 
 def digest(tree: Path, workload: str, seed: int) -> dict:
@@ -42,34 +47,48 @@ def digest(tree: Path, workload: str, seed: int) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("base_ref", help="the commit to compare against")
-    base_ref = parser.parse_args().base_ref
-    differing = 0
-    with tempfile.TemporaryDirectory(prefix="same-digests-") as tmp, \
-            ThreadPoolExecutor(max_workers=2) as pool:
-        base = Path(tmp) / "base"
-        subprocess.run(["git", "worktree", "add", "--detach", str(base),
-                        base_ref], cwd=ROOT, check=True, capture_output=True)
+@contextlib.contextmanager
+def base_tree(base: str):
+    """The tree to compare against: *base* itself if it is a directory,
+    else a temporary ``git worktree`` of that ref."""
+    if Path(base).is_dir():
+        yield Path(base).resolve()
+        return
+    with tempfile.TemporaryDirectory(prefix="same-digests-") as tmp:
+        tree = Path(tmp) / "base"
+        subprocess.run(["git", "worktree", "add", "--detach", str(tree),
+                        base], cwd=ROOT, check=True, capture_output=True)
         try:
-            for workload in WORKLOADS:
-                for seed in SEEDS:
-                    # the two trees' runs are independent: side by side
-                    here, there = pool.map(
-                        lambda tree: digest(tree, workload, seed),
-                        (ROOT, base))
-                    same_sim = here["sim_sha256"] == there["sim_sha256"]
-                    moved = [name for name in COUNTS
-                             if here["counts"][name] != there["counts"][name]]
-                    differing += (not same_sim) + bool(moved)
-                    print(f"{workload:<24} seed {seed:<3} sim_sha256 "
-                          f"{'same' if same_sim else 'DIFF'}   counts "
-                          f"{'DIFF ' + ','.join(moved) if moved else 'same'}")
+            yield tree
         finally:
             subprocess.run(["git", "worktree", "remove", "--force",
-                            str(base)], cwd=ROOT, check=True,
+                            str(tree)], cwd=ROOT, check=True,
                            capture_output=True)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("base", help="the commit to compare against, or a "
+                                     "directory holding its tree")
+    differing = 0
+    with base_tree(parser.parse_args().base) as base, \
+            ThreadPoolExecutor(max_workers=2) as pool:
+        for workload in WORKLOADS:
+            for seed in SEEDS:
+                # the two trees' runs are independent: side by side
+                here, there = pool.map(
+                    lambda tree: digest(tree, workload, seed), (ROOT, base))
+                same_sim = here["sim_sha256"] == there["sim_sha256"]
+                moved = [name for name in COUNTS
+                         if here["counts"][name] != there["counts"][name]]
+                before = there["counts"]["events"]
+                after = here["counts"]["events"]
+                differing += (not same_sim) + bool(moved) + (after > before)
+                print(f"{workload:<24} seed {seed:<3} sim_sha256 "
+                      f"{'same' if same_sim else 'DIFF'}   counts "
+                      f"{'DIFF ' + ','.join(moved) if moved else 'same'}"
+                      f"   events {before} -> {after}"
+                      f"{' ROSE' if after > before else ''}")
     return 1 if differing else 0
 
 

@@ -8,7 +8,10 @@ exactly the same presumed-abort two-phase commit: take custody of
 per-resource locks on behalf of an operation's write poll, force-write
 the prepare, vote, apply or discard on the decision, run cooperative
 termination when the coordinator goes silent, and re-announce unfinished
-commit decisions after a crash.  It is generalized over *resources* --
+commit decisions after a crash.  Its deadlines -- ``lock_lease`` on a
+poll custody, ``prepared_wait`` for a decision, the hosts' permit leases
+-- are node timers: armed with the lock, withdrawn where it is released,
+none left armed by a crash.  It is generalized over *resources* --
 opaque hashable lock keys.  The single-item replica has one resource
 (its one lock); the sharded host's are ``(shard, key)`` pairs.
 
@@ -54,7 +57,7 @@ from typing import Optional
 
 from repro.core.messages import Prepare
 from repro.core.twophase import rebroadcast_decisions
-from repro.sim.engine import Environment, Lock
+from repro.sim.engine import Environment, Lock, advance
 from repro.sim.rpc import CALL_FAILED
 
 
@@ -149,10 +152,10 @@ class TwoPhaseParticipant:
         for resource in self._op_locks.pop(op_id, ()):
             self._release(resource, op_id)
         self._prepared_ops.discard(op_id)
+        self.node.cancel_timer(self._lease_expired, op_id)
 
-    def _lease_watchdog(self, op_id: str):
+    def _lease_expired(self, op_id: str) -> None:
         """Reclaim a poll-granted lock whose coordinator went silent."""
-        yield self.env.timeout(self.config.lock_lease)
         if op_id in self._op_locks and op_id not in self._prepared_ops:
             self._trace("lock-lease-expired", op_id=op_id)
             self._release_op(op_id)
@@ -172,7 +175,7 @@ class TwoPhaseParticipant:
 
     def _take_custody(self, resource, op_id: str):
         """Generator: lock *resource* for a write poll of operation
-        *op_id* and keep it past the handler, under the lease watchdog,
+        *op_id* and keep it past the handler, under a ``lock_lease``,
         until the operation's 2PC or its ``op-release`` discharges it.
         Returns False (answer ``BUSY``) when the lock is not held."""
         settled = self._custody_settled(op_id)
@@ -197,7 +200,7 @@ class TwoPhaseParticipant:
             self._release(resource, op_id)
             return False
         self._op_locks[op_id] = (resource,)
-        self.node.spawn(self._lease_watchdog(op_id), name=f"lease-{op_id}")
+        self.node.timer(self.config.lock_lease, self._lease_expired, op_id)
         return True
 
     def _on_op_release(self, src: str, op_id: str) -> str:
@@ -254,8 +257,8 @@ class TwoPhaseParticipant:
             self._trace("txn-prepared", txn_id=prepare.txn_id,
                         op_id=prepare.op_id,
                         coordinator=prepare.coordinator)
-            self.node.spawn(self._await_decision(prepare.txn_id),
-                            name=f"await-{prepare.txn_id}")
+            self.node.timer(self.config.prepared_wait,
+                            self._decision_overdue, prepare.txn_id)
             return "yes"
 
         return handle()
@@ -267,6 +270,7 @@ class TwoPhaseParticipant:
     def _on_abort(self, src: str, txn_id: str) -> str:
         prepare = self.node.stable["prepared"].pop(txn_id, None)
         if prepare is not None:
+            self.node.cancel_timer(self._decision_overdue, txn_id)
             self.node.stable["txn_outcomes"][txn_id] = "aborted"
             self._release_op(prepare.op_id)
             self._trace("txn-abort", txn_id=txn_id)
@@ -276,6 +280,7 @@ class TwoPhaseParticipant:
         prepare = self.node.stable["prepared"].pop(txn_id, None)
         if prepare is None:
             return  # duplicate decision; idempotent
+        self.node.cancel_timer(self._decision_overdue, txn_id)
         self._apply(prepare)
         self.node.stable["txn_outcomes"][txn_id] = "committed"
         self._release_op(prepare.op_id)
@@ -284,9 +289,14 @@ class TwoPhaseParticipant:
         self._post_commit(prepare.command)
 
     # -- termination (cooperative, presumed abort) ----------------------------
-    def _await_decision(self, txn_id: str):
-        yield self.env.timeout(self.config.prepared_wait)
-        yield from self._terminate(txn_id)
+    def _decision_overdue(self, txn_id: str) -> None:
+        """No decision within ``prepared_wait`` of the yes vote: run
+        :meth:`_terminate` as a node process that starts inside this
+        (the timer's) queue entry.  Armed means still prepared, so its
+        first step is a real wait, the status call."""
+        body = self._terminate(txn_id)
+        self.node.spawn_parked(body, f"{self.name}:await-{txn_id}",
+                               advance(body))
 
     def _terminate(self, txn_id: str):
         """Cooperative termination for an undecided prepared transaction."""

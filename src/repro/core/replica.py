@@ -368,13 +368,12 @@ class ReplicaServer(TwoPhaseParticipant):
                 self.lock.release(owner)
                 return "i-am-current"
             self.node.volatile["recovering"] = owner
-            self.node.spawn(self._propagation_lease(owner),
-                            name="prop-lease")
+            self.node.timer(self.config.propagation_lease,
+                            self._permit_expired, owner)
             return ("propagation-permitted", state.version)
         return handle()
 
-    def _propagation_lease(self, owner: str):
-        yield self.env.timeout(self.config.propagation_lease)
+    def _permit_expired(self, owner: str) -> None:
         if self.node.volatile.get("recovering") == owner:
             self.node.volatile.pop("recovering", None)
             self.lock.release(owner)
@@ -392,6 +391,7 @@ class ReplicaServer(TwoPhaseParticipant):
         finally:
             self.node.volatile.pop("recovering", None)
             self.lock.release(owner)
+            self.node.cancel_timer(self._permit_expired, owner)
         if self._stale_since is not None and not self.state.stale:
             # stale -> healed propagation lag: episode opened at the first
             # stale-mark, closed by the catch-up that cleared the flag

@@ -15,7 +15,7 @@ lock acquisitions are still outstanding along every path:
   call, or *custody registration*: storing the lock into the op-lock
   table (``self._op_locks[op] = ...``) or the recovering slot
   (``volatile["recovering"] = owner``) hands ownership to the lease
-  watchdog / propagation machinery, which is the protocol's sanctioned
+  timer / propagation machinery, which is the protocol's sanctioned
   way to hold a lock past the handler;
 * a ``try`` whose ``finally`` discharges shields every return inside
   its body; a ``with`` on a lock discharges at exit.

@@ -8,13 +8,12 @@ value, which is exactly why PR 8's bug survived the 1SR checker.
 
 One instantaneous snapshot would false-positive: the periodic epoch
 checker keeps firing (every ``epoch_check_interval``), and each pulse
-transiently acquires locks, parks handlers, and spawns lease watchdogs
-that sleep out their full lease by design.  So the check takes *two*
+transiently acquires locks and parks handlers.  So the check takes *two*
 snapshots separated by a gap chosen to outlive every legitimate
 transient (longer than a poll round, an RPC deadline, and the
 propagation lease; shorter than the lock lease, so a leak the lease
-watchdog would eventually reap is still caught in the window) and flags
-only what persists across both with the same identity:
+would eventually reap is still caught in the window) and flags only
+what persists across both with the same identity:
 
 * a lock held by the *same owner* at both instants;
 * the *same* server-side RPC handler still in progress;
@@ -22,10 +21,16 @@ only what persists across both with the same identity:
 * the *same* propagation courier process still alive.
 
 Independently, on a crash-free run any ``lock-lease-expired`` trace
-event is a finding: the lease watchdog is the last-resort reaper for
-coordinator crashes, so on a run with no crashes it firing at all means
-an operation abandoned its locks -- the stranded-lock bug class, caught
-by counter rather than by snapshot timing.
+event is a finding: the lease is the last-resort reaper for coordinator
+crashes, so on a run with no crashes it coming due at all means an
+operation abandoned its locks -- the stranded-lock bug class, caught by
+counter rather than by snapshot timing.
+
+One invariant needs no gap, the leases being node timers that can be
+read (``Node.armed_timers``): *every lock held past its handler has a
+live owner or an armed lease*.  Each snapshot flags a lock in poll
+custody (in ``_op_locks``, not yet prepared) with no ``lock_lease``
+armed, and a propagation permit (``recovering``) with no permit lease.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ QUIESCE_GAP = 4.5
 
 #: Process-name fragments that identify propagation couriers -- the only
 #: spawned processes with no built-in expiry (they loop on retry).
-COURIER_MARKERS = ("propagate", "prop-lease")
+COURIER_MARKERS = ("propagate",)
 
 
 @dataclass
@@ -51,10 +56,12 @@ class Snapshot:
     inflight: set = field(default_factory=set)   # (node, reply_to, req_id)
     pending: set = field(default_factory=set)    # (node, req_id)
     couriers: dict = field(default_factory=dict)  # (node, id(p)) -> name
+    unleased: set = field(default_factory=set)   # (node, "lock"|"permit", owner)
 
 
 def take_snapshot(store) -> Snapshot:
-    """Capture the held locks, parked RPCs, and live couriers."""
+    """Capture the held locks, parked RPCs, and live couriers, and the
+    custodied locks and permits whose lease is not armed."""
     snap = Snapshot(time=store.env.now)
     for name in store.node_names:
         node = store.nodes[name]
@@ -65,6 +72,15 @@ def take_snapshot(store) -> Snapshot:
             if any(marker in process.name for marker in COURIER_MARKERS):
                 snap.couriers[(name, id(process))] = process.name
     for name, server in store.servers.items():
+        node = store.nodes[name]
+        armed = set(node.armed_timers())
+        for op_id in server._op_locks:
+            if (op_id not in server._prepared_ops
+                    and ("_lease_expired", op_id) not in armed):
+                snap.unleased.add((name, "lock", op_id))
+        owner = node.volatile.get("recovering")
+        if owner and ("_permit_expired", owner) not in armed:
+            snap.unleased.add((name, "permit", owner))
         rpc = getattr(server, "rpc", None)
         if rpc is None:
             continue
@@ -76,8 +92,14 @@ def take_snapshot(store) -> Snapshot:
 
 
 def compare_snapshots(first: Snapshot, second: Snapshot) -> list[str]:
-    """Findings for state that persisted across both snapshots."""
+    """Findings for what either snapshot found unleased, and for state
+    that persisted across both."""
     findings = []
+    for node, what, owner in sorted(first.unleased | second.unleased):
+        findings.append(
+            f"unleased {what}: {node} keeps its replica locked for "
+            f"{owner!r} past the handler with no lease armed -- nothing "
+            f"is left that would ever release it")
     for node, lock, owner in sorted(first.locks & second.locks):
         findings.append(
             f"leaked lock: {lock} on {node} held by {owner!r} at both "
@@ -118,7 +140,7 @@ def check_quiesce(store, crash_free: bool = True,
             findings.append(
                 f"lease reaper fired {expired}x on a crash-free run: an "
                 f"operation abandoned granted locks (stranded-lock bug "
-                f"class; the watchdog exists for coordinator *crashes*)")
+                f"class; the lease exists for coordinator *crashes*)")
     first = take_snapshot(store)
     store.advance(gap)
     second = take_snapshot(store)

@@ -400,14 +400,14 @@ class ShardHost(TwoPhaseParticipant):
                 self._release(resource, owner)
                 return "i-am-current"
             recovering[resource] = owner
-            self.node.spawn(self._permit_lease(resource, owner),
-                            name="sh-prop-lease")
+            self.node.timer(self.config.propagation_lease,
+                            self._permit_expired, (resource, owner))
             return ("propagation-permitted", state.version)
 
         return handle()
 
-    def _permit_lease(self, resource, owner: str):
-        yield self.env.timeout(self.config.propagation_lease)
+    def _permit_expired(self, permit: tuple) -> None:
+        resource, owner = permit
         recovering = self.node.volatile.setdefault("sh_recovering", {})
         if recovering.get(resource) == owner:
             recovering.pop(resource, None)
@@ -428,4 +428,5 @@ class ShardHost(TwoPhaseParticipant):
         finally:
             recovering.pop(resource, None)
             self._release(resource, owner)
+            self.node.cancel_timer(self._permit_expired, (resource, owner))
         return "done"

@@ -555,12 +555,16 @@ class Environment:
         (ROADMAP item 4(a)) -- the ``transport-boundary`` lint rule
         enforces exactly that.
         """
+        if delay < 0:   # here, not pops later as "time went backwards"
+            raise SimulationError(f"negative timeout delay: {delay!r}")
         self._schedule(_call, callback, delay)
 
     def timer(self, delay: float, call: Callable[[Any], None],
               arg: Any = None) -> Timer:
         """Queue ``call(arg)`` after *delay* and return the handle that
         withdraws it -- for deadlines, which mostly never come due."""
+        if delay < 0:
+            raise SimulationError(f"negative timeout delay: {delay!r}")
         handle = Timer(self, call, arg)
         self._schedule(_FIRE, handle, delay)
         return handle

@@ -6,8 +6,9 @@ A :class:`Node` owns:
   value, version numbers, stale flag, epoch list/number -- lives here, as
   the paper's recovery story requires);
 * *volatile* state that is wiped by a crash (locks, in-flight handlers);
-* a registry of RPC handlers and a set of live processes that are
-  interrupted when the node crashes.
+* a registry of RPC handlers, a set of live processes that are
+  interrupted when the node crashes, and the deadlines it has armed
+  (:meth:`Node.timer`), which a crash withdraws.
 
 Crash/recover are synchronous state flips; the surrounding machinery
 (network drops, handler interrupts, lock resets) makes the fail-stop
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator, Optional
 
-from repro.sim.engine import Environment, Lock, Process
+from repro.sim.engine import Environment, Lock, Process, Timer
 from repro.sim.network import Message, Network
 from repro.sim.trace import TraceLog
 
@@ -38,6 +39,7 @@ class Node:
         self._locks: list[Lock] = []
         self._processes: list[Process] = []
         self._prune_floor = 0
+        self._timers: dict[tuple[Callable[[Any], None], Any], Timer] = {}
         self._handlers: dict[str, Callable[[Message], Any]] = {}
         self._crash_hooks: list[Callable[[], None]] = []
         self._recover_hooks: list[Callable[[], None]] = []
@@ -66,6 +68,12 @@ class Node:
         """The node's currently-alive processes (read-only snapshot)."""
         return [p for p in self._processes if p.is_alive]
 
+    def armed_timers(self) -> tuple[tuple[str, Any], ...]:
+        """``(callback name, argument)`` of every :meth:`timer` still
+        armed, in arming order -- the sanitizer checks held locks
+        against it."""
+        return tuple((call.__name__, arg) for call, arg in self._timers)
+
     def add_crash_hook(self, hook: Callable[[], None]) -> None:
         """Run *hook* whenever this node crashes."""
         self._crash_hooks.append(hook)
@@ -86,6 +94,9 @@ class Node:
         processes, self._processes = self._processes, []
         for process in processes:
             process.interrupt("node crash")
+        timers, self._timers = self._timers, {}
+        for timer in timers.values():
+            timer.cancel()
         for hook in self._crash_hooks:
             hook()
 
@@ -125,10 +136,37 @@ class Node:
         # the last compaction.  A fixed threshold re-scanned the whole
         # list on *every* spawn while more than 64 processes were live,
         # which is quadratic under workloads with thousands of
-        # concurrent lease watchdogs (the sharded-store benchmark).
+        # concurrently parked handlers (the sharded-store benchmark).
         if len(self._processes) > max(64, 2 * self._prune_floor):
             self._processes = [p for p in self._processes if p.is_alive]
             self._prune_floor = len(self._processes)
+
+    # -- deadlines --------------------------------------------------------------
+    def timer(self, delay: float, call: Callable[[Any], None],
+              arg: Any = None) -> None:
+        """Arm a deadline that dies with the node: ``call(arg)`` after
+        *delay* unless :meth:`cancel_timer` -- or a crash, which
+        withdraws every timer still armed where it interrupts the node's
+        processes -- comes first.  Met, it costs no queue entry
+        (:meth:`Environment.timer`).  Arming ``(call, arg)`` again
+        replaces the earlier deadline; *arg* must be hashable."""
+        key = (call, arg)
+        earlier = self._timers.pop(key, None)
+        if earlier is not None:
+            earlier.cancel()
+        self._timers[key] = self.env.timer(delay, self._timer_due, key)
+
+    def cancel_timer(self, call: Callable[[Any], None],
+                     arg: Any = None) -> None:
+        """Withdraw the deadline ``call(arg)``; a no-op if none is armed."""
+        timer = self._timers.pop((call, arg), None)
+        if timer is not None:
+            timer.cancel()
+
+    def _timer_due(self, deadline: tuple) -> None:
+        del self._timers[deadline]
+        call, arg = deadline
+        call(arg)
 
     # -- messaging ----------------------------------------------------------------
     def register_handler(self, kind: str,

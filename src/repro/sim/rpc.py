@@ -159,7 +159,8 @@ class _Wave:
     single completion event (vs. N per-call timers plus an AllOf).
 
     A *managed* wave (``expiries is not None``) instead re-arms one
-    walking timer over per-destination deadlines and hedge thresholds;
+    walking timer over per-destination deadlines and hedge thresholds,
+    withdrawn like the plain one once every request is accounted for;
     the plain path stays a single timer because quorum polling is the
     simulation's hottest loop.
     """
@@ -170,7 +171,8 @@ class _Wave:
     def __init__(self, event: Event, total: int):
         self.event = event
         self.total = total
-        self.timer: Optional[Timer] = None  # a plain wave's one deadline
+        # a plain wave's one deadline, a managed wave's walking tick
+        self.timer: Optional[Timer] = None
         self.results: dict[str, Any] = {}
         self.req_ids: dict[int, str] = {}  # outstanding req_id -> dst
         self.enough: Optional[Callable[[dict], bool]] = None
@@ -479,12 +481,9 @@ class RpcLayer:
         if not times:
             return
         delay = max(0.0, min(times) - self.env.now)
-        self.env._schedule(self._wave_tick, wave, delay)
+        wave.timer = self.env.timer(delay, self._wave_tick, wave)
 
     def _wave_tick(self, wave: _Wave) -> None:
-        if not wave.req_ids:
-            self._settle_wave(wave)
-            return
         now = self.env.now
         pending = self._pending
         trace = self.node.trace
@@ -555,6 +554,7 @@ class RpcLayer:
 
     def _settle_wave(self, wave: _Wave) -> None:
         if not wave.req_ids:
+            wave.timer.cancel()     # nothing is left for the tick to do
             self._account_hedges(wave)
             if not wave.event.triggered:
                 wave.event.succeed(wave.results)
@@ -609,11 +609,9 @@ class RpcLayer:
                 sink.timer.cancel()
                 sink.event.succeed(CALL_FAILED)
         for wave in waves:
-            if wave.timer is not None:
-                wave.timer.cancel()
-            if not wave.event.triggered:
-                wave.req_ids.clear()
-                wave.event.succeed(wave.results)
+            # settling withdraws the wave's timer and books its hedges
+            wave.req_ids.clear()
+            self._settle_wave(wave)
 
     # -- quiesce introspection --------------------------------------------
     def pending_calls(self) -> tuple:

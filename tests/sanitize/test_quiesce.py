@@ -83,3 +83,64 @@ def test_gap_sits_inside_the_lease_window():
     assert QUIESCE_GAP > config.propagation_lease
     assert QUIESCE_GAP > config.rtt_deadline_max
     assert QUIESCE_GAP < config.lock_lease
+
+
+# -- every held lock has a live owner or an armed lease ------------------------
+
+def custodied_store():
+    """n01 holds its replica lock in poll custody for ``op-x``."""
+    store = ReplicatedStore.create(3, seed=4)
+
+    def client():
+        yield store.servers["n00"].rpc.call("n01", "write-request", "op-x")
+
+    store.join(store.nodes["n00"].spawn(client()))
+    assert list(store.servers["n01"]._op_locks) == ["op-x"]
+    return store
+
+
+def withdraw_lease(store):
+    """Forge the leak: the custody stays, its lease is gone."""
+    store.nodes["n01"].cancel_timer(store.servers["n01"]._lease_expired,
+                                    "op-x")
+
+
+def test_a_custodied_lock_under_its_lease_is_not_a_finding():
+    store = custodied_store()
+    assert ("_lease_expired", "op-x") in store.nodes["n01"].armed_timers()
+    assert take_snapshot(store).unleased == set()
+
+
+def test_a_custodied_lock_with_no_lease_armed_is_flagged():
+    store = custodied_store()
+    withdraw_lease(store)
+    snap = take_snapshot(store)
+    assert snap.unleased == {("n01", "lock", "op-x")}
+    [finding] = [f for f in compare_snapshots(snap, Snapshot(time=9.0))
+                 if f.startswith("unleased")]
+    assert "unleased lock" in finding and "'op-x'" in finding
+
+
+def test_a_prepared_lock_needs_no_lease():
+    store = custodied_store()
+    withdraw_lease(store)
+    store.servers["n01"]._prepared_ops.add("op-x")      # 2PC owns it now
+    assert take_snapshot(store).unleased == set()
+
+
+def test_a_permit_with_no_lease_armed_is_flagged():
+    store = ReplicatedStore.create(3, seed=4)
+    node = store.nodes["n02"]
+    node.volatile["recovering"] = "recover:ghost"       # forged permit
+    snap = take_snapshot(store)
+    assert snap.unleased == {("n02", "permit", "recover:ghost")}
+    node.timer(4.0, store.servers["n02"]._permit_expired, "recover:ghost")
+    assert take_snapshot(store).unleased == set()
+
+
+def test_the_full_check_reports_an_unleased_lock():
+    store = custodied_store()
+    withdraw_lease(store)
+    findings = check_quiesce(store, crash_free=True)
+    assert any("unleased lock" in f for f in findings)
+    assert any("leaked lock" in f for f in findings)    # and it persists

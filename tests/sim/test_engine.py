@@ -1001,3 +1001,30 @@ class TestCancellableTimers:
         with pytest.raises(SimulationError, match="empty queue"):
             env.step()
         assert env.run() == 0.0
+
+
+class TestNegativeDelays:
+    """A delay into the past is refused where it is asked for -- with
+    the message ``Timeout`` uses -- not pops later, from ``step()``, as
+    "time went backwards"."""
+
+    @pytest.mark.parametrize("ask", [
+        lambda env: env.timeout(-1),
+        lambda env: env.timer(-1, print),
+        lambda env: env.schedule(print, -1),
+        lambda env: env.schedule(print, delay=-1e-9),
+    ], ids=["timeout", "timer", "schedule", "schedule-tiny"])
+    def test_refused_at_the_call_site(self, ask):
+        env = Environment()
+        with pytest.raises(SimulationError, match="negative timeout delay"):
+            ask(env)
+        assert env.queue_size == 0
+        assert env.run() == 0.0             # nothing was queued to blow up
+
+    def test_zero_is_not_negative(self):
+        env = Environment()
+        got = []
+        env.timer(0, got.append, "timer")
+        env.schedule(lambda: got.append("callback"), 0.0)
+        env.run()
+        assert got == ["timer", "callback"] and env.now == 0.0

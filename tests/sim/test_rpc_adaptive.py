@@ -358,3 +358,87 @@ class TestLegacyWaveUnchanged:
         (when, response), = results
         assert response == {"n1": 1, "n2": CALL_FAILED}
         assert abs(when - 0.5) < 1e-9
+
+
+class TestManagedWaveTickIsWithdrawn:
+    """Rule R4 for the fifth deadline: a managed wave's walking tick is
+    a timer, withdrawn once nothing is outstanding."""
+
+    def _answered_wave(self, **wave_options):
+        env, nodes, rpcs, _ = make_cluster(n=3, timeout=5.0)
+        for rpc in rpcs[1:]:
+            rpc.serve("echo", lambda src, args: args)
+        results = []
+
+        def client(env):
+            results.append((yield rpcs[0].call_wave(
+                {"n1": ("echo", 1), "n2": ("echo", 2)}, **wave_options)))
+
+        nodes[0].spawn(client(env))
+        return env, nodes, rpcs, results
+
+    def test_a_settled_wave_leaves_no_tick_behind(self):
+        env, _nodes, rpcs, results = self._answered_wave(
+            deadlines={"n1": 2.0, "n2": 3.0})
+        stopped = env.run()
+        assert results == [{"n1": 1, "n2": 2}]
+        # the queue drained at the last answer: no tick fired unheard at
+        # the 2.0 deadline and dragged the clock there
+        assert stopped < 0.1 and env.queue_size == 0
+        assert rpcs[0].pending_calls() == ()
+
+    def test_an_early_completed_wave_keeps_its_tick_for_the_stragglers(self):
+        env, nodes, rpcs, _ = make_cluster(n=3, timeout=5.0)
+        rpcs[1].serve("echo", lambda src, args: args)
+        rpcs[2].serve("echo", slow_handler(env, 10.0))   # never answers
+        seen, results = [], []
+        rpcs[0].liveness_observer = lambda dst, ok: seen.append((dst, ok))
+
+        def client(env):
+            results.append((env.now, (yield rpcs[0].call_wave(
+                {"n1": ("echo", 1), "n2": ("echo", 2)},
+                deadlines={"n1": 1.0, "n2": 1.0},
+                enough=lambda partial: "n1" in partial))))
+
+        nodes[0].spawn(client(env))
+        env.run(until=0.5)
+        assert results and results[0][0] < 0.1      # completed early
+        assert rpcs[0].pending_calls() != ()        # n2 still outstanding
+        env.run(until=1.5)
+        assert ("n2", False) in seen                # expired by the tick
+        assert rpcs[0].pending_calls() == ()
+
+    def test_a_caller_crash_withdraws_the_tick_and_books_the_hedges(self):
+        from repro.obs.metrics import MetricsRegistry, split_key
+
+        env = Environment()
+        net = Network(env, LatencyModel(0.01, 0.01, rng=random.Random(0)),
+                      trace=TraceLog())
+        nodes = [Node(env, net, f"n{i}") for i in range(4)]
+        reg = MetricsRegistry(clock=lambda: env.now)
+        rpcs = [RpcLayer(node, default_timeout=5.0, metrics=reg)
+                for node in nodes]
+        rpcs[1].serve("echo", lambda src, args: args)
+        rpcs[2].serve("echo", slow_handler(env, 10.0))
+        rpcs[3].serve("echo", slow_handler(env, 10.0))
+        hedge = HedgePolicy(spares=("n3",), request=("echo", "backup"),
+                            delays={"n2": 0.2}, deadlines={"n3": 4.0})
+
+        def client(env):
+            yield rpcs[0].call_wave(
+                {"n1": ("echo", 1), "n2": ("echo", 2)},
+                deadlines={"n1": 4.0, "n2": 4.0}, hedge=hedge)
+
+        nodes[0].spawn(client(env))
+        env.run(until=1.0)                  # the hedge has fired
+        nodes[0].crash()
+        counters = {split_key(k)[1]["outcome"]: v
+                    for k, v in reg.snapshot()["counters"].items()
+                    if split_key(k)[0] == "rpc_hedges"
+                    and split_key(k)[1]["src"] == "n0"}
+        assert counters == {"fired": 1, "won": 0, "wasted": 1}
+        # nothing of the wave is left to run on the crashed caller: what
+        # remains are the two handlers still sleeping on n2 and n3
+        assert rpcs[0].pending_calls() == ()
+        env.run(until=4.5)
+        assert env.queue_size == 2

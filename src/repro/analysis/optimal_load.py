@@ -7,7 +7,8 @@ distributions (access strategies) on its quorums:
 
     L(S) = min_{w} max_{node} sum_{quorum containing node} w(quorum)
 
-a linear program over the minimal quorums, solved here with scipy.
+a linear program over the minimal quorums, solved with scipy by the
+strategy optimizer's LP (:mod:`repro.coteries.optimizer`).
 Classic values the tests verify: majority systems have load ~1/2,
 grids ~1/sqrt(N) for reads (the Naor-Wool optimal order), read-one
 systems 1/N -- and the tree protocol beats its naive all-root strategy
@@ -15,8 +16,6 @@ by mixing in root-free quorums.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.coteries.base import Coterie, CoterieError
 from repro.coteries.properties import minimal_quorums
@@ -36,38 +35,21 @@ def optimal_load(coterie: Coterie, kind: str = "write",
                  else coterie.is_read_quorum)
     quorums = minimal_quorums(predicate, coterie.nodes,
                               max_nodes=max_nodes)
-    nodes = list(coterie.nodes)
-    n_q = len(quorums)
+    # the optimizer's mixed read/write LP at read fraction 1 (or 0): the
+    # other kind's variables carry zero load, so this is Naor-Wool's LP
+    from repro.coteries.optimizer import _lp_weights
 
-    # variables: w_1..w_{n_q}, L.  minimize L.
-    c = np.zeros(n_q + 1)
-    c[-1] = 1.0
-    # per-node constraint: sum_{q ni node} w_q - L <= 0
-    a_ub = np.zeros((len(nodes), n_q + 1))
-    for j, quorum in enumerate(quorums):
-        for i, node in enumerate(nodes):
-            if node in quorum:
-                a_ub[i, j] = 1.0
-    a_ub[:, -1] = -1.0
-    b_ub = np.zeros(len(nodes))
-    # sum w = 1
-    a_eq = np.ones((1, n_q + 1))
-    a_eq[0, -1] = 0.0
-    b_eq = np.ones(1)
-    bounds = [(0.0, None)] * n_q + [(0.0, 1.0)]
-    # imported where the LP is solved: every store reaches this module
-    # through shard/rebalance -> analysis.load, and none of them solves it
-    from scipy.optimize import linprog
-
-    result = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                     bounds=bounds, method="highs")
-    if not result.success:
-        raise CoterieError(f"load LP failed: {result.message}")
-    weights = result.x[:n_q]
+    solved = _lp_weights(quorums, quorums, tuple(coterie.nodes),
+                         1.0 if kind == "read" else 0.0, None)
+    if solved is None:
+        raise CoterieError("load LP failed (is scipy installed?)")
+    weights = solved[0] if kind == "read" else solved[1]
+    load = max(sum(w for quorum, w in zip(quorums, weights) if node in quorum)
+               for node in coterie.nodes)
     strategy = {quorum: float(weight)
                 for quorum, weight in zip(quorums, weights)
                 if weight > 1e-9}
-    return float(result.x[-1]), strategy
+    return float(load), strategy
 
 
 def strategy_load(strategy: dict[frozenset, float],

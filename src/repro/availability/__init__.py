@@ -14,9 +14,9 @@
 * :mod:`repro.availability.parallel` -- multiprocessing fan-out over the
   Monte Carlo estimators: the horizon is sharded across worker
   processes and the shard estimates merged by horizon weighting.
-* :mod:`repro.availability.vectorized` -- the ``vector`` Monte Carlo
-  engine: trajectory-batched numpy simulation scored through the batch
-  quorum kernels instead of a per-event Python loop.
+* :mod:`repro.availability.vectorized` -- the static estimator as
+  trajectory-batched numpy simulation, scored through the batch quorum
+  kernels instead of a per-event Python loop.
 * :mod:`repro.availability.exact` -- exact weighted enumeration over all
   ``2^N`` masks (N <= 24): hit counts by up-count give availability as a
   polynomial in ``p``, so whole parameter sweeps cost one enumeration.
@@ -58,10 +58,7 @@ from repro.availability.parallel import (
     merge_estimates,
     simulate_availability_parallel,
 )
-from repro.availability.vectorized import (
-    simulate_dynamic_availability_vector,
-    simulate_static_availability_vector,
-)
+from repro.availability.vectorized import simulate_static_availability_vector
 from repro.availability.transient import (
     cycle_unavailability,
     dynamic_grid_mttf,
@@ -95,7 +92,6 @@ __all__ = [
     "quorum_hit_counts",
     "simulate_availability_parallel",
     "simulate_dynamic_availability",
-    "simulate_dynamic_availability_vector",
     "simulate_static_availability",
     "simulate_static_availability_vector",
     "steady_availability",

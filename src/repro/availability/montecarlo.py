@@ -28,6 +28,11 @@ Three estimators:
 * :func:`repro.availability.parallel.simulate_availability_parallel` --
   the multiprocessing fan-out over either estimator, for long horizons.
 
+The static estimator has a trajectory-batched numpy twin,
+:func:`repro.availability.vectorized.simulate_static_availability_vector`;
+the dynamic one has none, since its predicate moves with nearly every
+event.
+
 Both estimators use Gillespie-style event sampling and are exact in
 distribution for the site model.  Statistical resolution scales as
 ~1/sqrt(horizon); use them for moderate unavailabilities (p <= ~0.9) or
@@ -38,7 +43,9 @@ Performance engines
 
 ``engine`` selects how quorum membership is evaluated per event; both
 engines run through the same one loop per estimator, which drives a
-:class:`~repro.coteries.base.QuorumEvaluator` and nothing else:
+:class:`~repro.coteries.base.QuorumEvaluator` and nothing else, so the
+two give bit-identical estimates and differ only in speed.  The CLI and
+the parallel fan-out run the default:
 
 * ``"bitmask"`` (default) -- each coterie is compiled once into an
   incremental evaluator (``coterie.compile(nodes)``): the up-set is an

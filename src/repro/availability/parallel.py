@@ -7,7 +7,9 @@ time-average of an ergodic process, so the horizon can be *sharded* --
 ``workers`` independent trajectories of length ``horizon / workers``,
 one per process, each seeded ``seed + shard_index`` -- and the shard
 estimates merged by horizon-weighted averaging.  The merged counters
-(events, epoch changes, stuck periods) are plain sums.
+(events, epoch changes, stuck periods) are plain sums.  Each shard runs
+the serial estimator with its default engine; the ``set`` reference
+engine and the vector static estimator are called directly.
 
 Statistics
 ----------
@@ -79,20 +81,6 @@ def _run_shard(params: tuple) -> AvailabilityEstimate:
     protocol, n_nodes, lam, mu, horizon, seed, rule, kwargs = params
     if rule is None:
         rule = _fork_rule
-    if kwargs.get("engine") == "vector":
-        # the trajectory-batched numpy estimators
-        from repro.availability.vectorized import (
-            simulate_dynamic_availability_vector,
-            simulate_static_availability_vector,
-        )
-
-        kwargs = {key: value for key, value in kwargs.items()
-                  if key != "engine"}
-        if protocol == "static":
-            return simulate_static_availability_vector(
-                n_nodes, lam, mu, horizon, seed=seed, rule=rule, **kwargs)
-        return simulate_dynamic_availability_vector(
-            n_nodes, lam, mu, horizon, seed=seed, rule=rule, **kwargs)
     if protocol == "static":
         return simulate_static_availability(
             n_nodes, lam, mu, horizon, seed=seed, rule=rule, **kwargs)
@@ -115,7 +103,6 @@ def simulate_availability_parallel(
         protocol: str = "dynamic",
         rule: CoterieRule = GridCoterie,
         kind: str = "write",
-        engine: str = "bitmask",
         idealized: bool = False,
         check_interval: Optional[float] = None) -> AvailabilityEstimate:
     """Estimate availability by fanning shards out over processes.
@@ -140,7 +127,7 @@ def simulate_availability_parallel(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     _check_horizon(horizon)
-    kwargs = {"kind": kind, "engine": engine}
+    kwargs = {"kind": kind}
     if protocol == "dynamic":
         kwargs["idealized"] = idealized
         kwargs["check_interval"] = check_interval

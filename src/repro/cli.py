@@ -150,15 +150,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     estimate = simulate_availability_parallel(
         args.n, args.lam, args.mu, args.horizon, seed=args.seed,
         workers=args.workers, protocol="dynamic",
-        check_interval=args.check_interval, kind=args.kind,
-        engine=args.engine)
+        check_interval=args.check_interval, kind=args.kind)
     print(f"N = {args.n}, lam = {args.lam}, mu = {args.mu} "
           f"(p = {args.mu / (args.lam + args.mu):.3f}), "
           f"horizon = {args.horizon:g}, kind = {args.kind}")
     checks = ("instantaneous" if args.check_interval is None
               else f"every {args.check_interval:g}")
-    print(f"epoch checks: {checks}; engine = {args.engine}, "
-          f"workers = {args.workers}")
+    print(f"epoch checks: {checks}; workers = {args.workers}")
     print(estimate)
     return 0
 
@@ -519,10 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--workers", type=int, default=1,
                           help="shard the horizon over this many "
                                "processes (default 1 = serial)")
-    simulate.add_argument("--engine", choices=["bitmask", "set", "vector"],
-                          default="bitmask",
-                          help="quorum evaluation engine (vector = "
-                               "trajectory-batched numpy)")
     simulate.set_defaults(handler=_cmd_simulate)
 
     demo = sub.add_parser("demo", help="end-to-end protocol scenario")

@@ -35,16 +35,15 @@ Grid and unit-weight voting additionally answer over *packed words* --
 tests (a column is full iff ``words & col_mask == col_mask``); voting
 popcounts member words with ``np.bitwise_count`` (numpy >= 2).  Packed
 rows carry 1/8th the memory traffic of a bit matrix, which is what lets
-the vector engine clear the bitmask engine by >= 10x on event-stream
-replay; other families transparently unpack packed input and dispatch
-to their bit-matrix kernels.
+the vector static estimator clear the bitmask engine by >= 10x on
+event-stream replay; other families transparently unpack packed input
+and dispatch to their bit-matrix kernels.
 
 Unlike scalar evaluators, batch evaluators are *stateless*: the same
 instance can be shared across threads and kinds (no tracked up-set).
-``rebind_epoch`` mirrors the scalar engine's in-place epoch re-derivation
-for uniform families (grid, default majority): the structure matrices
-are rebuilt from the epoch mask so out-of-epoch bits are ignored exactly
-as the scalar engine ignores them.
+They score a fixed coterie; an epoch change is the scalar engine's job
+(:meth:`~repro.coteries.base.QuorumEvaluator.rebind_epoch`), and a
+caller that needs another member set compiles ``rule(members)``.
 
 Answers agree bit-for-bit with the coterie's set-based predicates on
 every mask -- the golden equivalence tests sweep all 2^N masks per
@@ -60,7 +59,7 @@ import numpy as np
 
 from repro.coteries.base import Coterie, CoterieError
 from repro.coteries.composite import CompositeCoterie
-from repro.coteries.grid import GridCoterie, define_grid
+from repro.coteries.grid import GridCoterie
 from repro.coteries.hierarchical import HierarchicalCoterie
 from repro.coteries.majority import WeightedVotingCoterie
 from repro.coteries.rowa import ReadOneWriteAllCoterie
@@ -159,9 +158,6 @@ class BatchEvaluator:
     ``*_batch`` wrappers accept integer mask arrays and unpack first.
     """
 
-    #: True for subclasses implementing :meth:`rebind_epoch`.
-    supports_rebind = False
-
     #: True when :meth:`read_packed` / :meth:`write_packed` run native
     #: popcount kernels on packed words (instead of unpack-and-dispatch).
     supports_packed = False
@@ -178,7 +174,7 @@ class BatchEvaluator:
         if missing:
             raise CoterieError(
                 f"coterie members outside the universe: {missing}")
-        self.coterie: Optional[Coterie] = coterie
+        self.coterie = coterie
         self.universe = universe
         self.bit = bit
         self.n_bits = len(universe)
@@ -226,20 +222,6 @@ class BatchEvaluator:
         """Write-quorum predicate over an ``(M, W)`` packed word matrix."""
         return self.write_bits(unpack_words(words, self.n_bits))
 
-    # -- epoch rebinding -----------------------------------------------------
-    def rebind_epoch(self, epoch_mask: int) -> None:
-        """Re-derive the structure matrices for a new epoch, in place.
-
-        Same contract as the scalar engine's
-        :meth:`~repro.coteries.base.QuorumEvaluator.rebind_epoch`: the
-        new member set V' is the subsequence of the universe selected by
-        *epoch_mask*, the structure is re-derived uniformly from the
-        ordered member list, and bits outside V' are ignored (after a
-        rebind, :attr:`coterie` is cleared to ``None``).
-        """
-        raise CoterieError(
-            f"{type(self).__name__} does not support epoch rebinding")
-
     def __repr__(self) -> str:
         return (f"<{type(self).__name__} for {self.coterie!r} "
                 f"over {self.n_bits} bits>")
@@ -253,42 +235,29 @@ class BatchGridEvaluator(BatchEvaluator):
     eligible column fully covered.
     """
 
-    supports_rebind = True
     supports_packed = True
 
     def __init__(self, coterie: GridCoterie,
                  universe: Optional[Sequence[str]] = None):
         super().__init__(coterie, universe)
-        self._cover = coterie.column_cover
         n_cols = coterie.shape.n
-        col_of = [-1] * self.n_bits
+        membership = np.zeros((self.n_bits, n_cols))
+        col_masks = [0] * n_cols
         for j, column in enumerate(coterie.columns):
             for name in column:
-                col_of[self.bit[name]] = j
-        self._install(
-            n_cols, col_of,
-            [len(column) for column in coterie.columns],
-            [coterie._column_may_count_as_full(j)
-             for j in range(1, n_cols + 1)])
-
-    def _install(self, n_cols, col_of, col_need, col_full_ok) -> None:
-        membership = np.zeros((self.n_bits, n_cols))
-        for i, j in enumerate(col_of):
-            if j >= 0:
-                membership[i, j] = 1.0
+                membership[self.bit[name], j] = 1.0
+                col_masks[j] |= 1 << self.bit[name]
         self._membership = membership
-        self._col_need = np.asarray(col_need, dtype=np.float64)
-        self._col_full_ok = np.asarray(col_full_ok, dtype=bool)
+        self._col_need = np.asarray(
+            [len(column) for column in coterie.columns], dtype=np.float64)
+        self._col_full_ok = np.asarray(
+            [coterie._column_may_count_as_full(j)
+             for j in range(1, n_cols + 1)], dtype=bool)
         # packed structure: per column, the nonzero (word index, word)
         # pairs of its membership mask -- columns rarely span many words.
-        # col_need always equals the column's member count (both the
-        # constructor and rebind derive it from the fill), so "full"
-        # reduces to masked-word equality and needs no popcount.
+        # col_need is the column's member count, so "full" reduces to
+        # masked-word equality and needs no popcount.
         n_w = word_count(self.n_bits)
-        col_masks = [0] * n_cols
-        for i, j in enumerate(col_of):
-            if j >= 0:
-                col_masks[j] |= 1 << i
         self._col_word_ix = [
             [(w, wd) for w, wd in enumerate(_int_words(m, n_w)) if wd]
             for m in col_masks]
@@ -342,31 +311,6 @@ class BatchGridEvaluator(BatchEvaluator):
         out[idx] = self.read_packed(words[idx])
         return out
 
-    def rebind_epoch(self, epoch_mask: int) -> None:
-        # identical derivation to the scalar GridEvaluator.rebind_epoch:
-        # DefineGrid fixes the shape from the member count and row-major
-        # fill puts the k-th member in column k mod n_cols.
-        n_members = epoch_mask.bit_count()
-        shape = define_grid(n_members)
-        n_cols = shape.n
-        full_cut = n_cols - shape.b
-        col_of = [-1] * self.n_bits
-        mask = epoch_mask
-        k = 0
-        while mask:
-            col_of[(mask & -mask).bit_length() - 1] = k % n_cols
-            mask &= mask - 1
-            k += 1
-        col_need = [shape.m - 1 if j >= full_cut else shape.m
-                    for j in range(n_cols)]
-        if self._cover == "physical":
-            col_full_ok = [True] * n_cols
-        else:
-            col_full_ok = [need == shape.m for need in col_need]
-        self.coterie = None
-        self.v_mask = epoch_mask
-        self._install(n_cols, col_of, col_need, col_full_ok)
-
     def _hits(self, bits: np.ndarray) -> np.ndarray:
         return bits.astype(np.float64) @ self._membership
 
@@ -392,35 +336,12 @@ class BatchVotingEvaluator(BatchEvaluator):
         self._weights = weights
         self._read_votes = coterie.read_votes
         self._write_votes = coterie.write_votes
-        # same rebind condition as the scalar VotingEvaluator: only the
-        # unweighted default-threshold majority is a uniform function of N
-        total = coterie.total_votes
-        unit = all(w == 1 for w in coterie.weights.values())
-        self.supports_rebind = (
-            total == coterie.n_nodes
-            and coterie.write_votes == total // 2 + 1
-            and coterie.read_votes == total + 1 - coterie.write_votes
-            and unit)
         # unit weights turn vote sums into popcounts of the member mask
-        # (any thresholds -- rebindability is a separate, stricter bar)
-        self.supports_packed = _HAS_BITWISE_COUNT and unit
-        self._member_word_ix = self._word_pairs(self.v_mask)
-
-    def _word_pairs(self, mask: int):
-        n_w = word_count(self.n_bits)
-        return [(w, wd) for w, wd in enumerate(_int_words(mask, n_w)) if wd]
-
-    def rebind_epoch(self, epoch_mask: int) -> None:
-        if not self.supports_rebind:
-            super().rebind_epoch(epoch_mask)  # raises
-        n_members = epoch_mask.bit_count()
-        self.coterie = None
-        self.v_mask = epoch_mask
-        self._weights = unpack_masks([epoch_mask],
-                                     self.n_bits)[0].astype(np.float64)
-        self._write_votes = n_members // 2 + 1
-        self._read_votes = n_members + 1 - self._write_votes
-        self._member_word_ix = self._word_pairs(epoch_mask)
+        self.supports_packed = _HAS_BITWISE_COUNT and all(
+            w == 1 for w in coterie.weights.values())
+        self._member_word_ix = [
+            (w, wd) for w, wd in enumerate(
+                _int_words(self.v_mask, word_count(self.n_bits))) if wd]
 
     def _votes(self, bits: np.ndarray) -> np.ndarray:
         return bits.astype(np.float64) @ self._weights
@@ -621,19 +542,13 @@ class ScalarFallbackBatchEvaluator(BatchEvaluator):
     Correct for any coterie (it *is* the scalar engine), with no batch
     speedup -- the analogue of
     :class:`~repro.coteries.base.SetRecomputeEvaluator` on the scalar
-    side.  Rebinding delegates to the scalar evaluator when supported.
+    side.
     """
 
     def __init__(self, coterie: Coterie,
                  universe: Optional[Sequence[str]] = None):
         super().__init__(coterie, universe)
         self._scalar = coterie.compile(universe)
-        self.supports_rebind = self._scalar.supports_rebind
-
-    def rebind_epoch(self, epoch_mask: int) -> None:
-        self._scalar.rebind_epoch(epoch_mask)
-        self.coterie = None
-        self.v_mask = epoch_mask
 
     def _map(self, bits: np.ndarray, predicate) -> np.ndarray:
         masks = pack_bits(bits)

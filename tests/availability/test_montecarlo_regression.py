@@ -182,14 +182,10 @@ def test_bad_engine_rejected_and_sampler_gone():
 @pytest.mark.parametrize("horizon", [0, 0.0, -1.0])
 def test_non_positive_horizon_rejected(horizon):
     """Was ZeroDivisionError at 0 and ``availability=1 over t=-1``."""
-    from repro.availability import (
-        simulate_dynamic_availability_vector,
-        simulate_static_availability_vector,
-    )
+    from repro.availability import simulate_static_availability_vector
     for estimator in (simulate_static_availability,
                       simulate_dynamic_availability,
-                      simulate_static_availability_vector,
-                      simulate_dynamic_availability_vector):
+                      simulate_static_availability_vector):
         with pytest.raises(ValueError, match="horizon must be positive"):
             estimator(9, 1.0, 19.0, horizon)
 

@@ -66,11 +66,9 @@ class TestWorkersOne:
 
     def test_options_forwarded(self):
         parallel = simulate_availability_parallel(
-            10, 1.0, 3.0, 500.0, seed=4, workers=1, check_interval=0.5,
-            engine="set")
+            10, 1.0, 3.0, 500.0, seed=4, workers=1, check_interval=0.5)
         serial = simulate_dynamic_availability(
-            10, 1.0, 3.0, 500.0, seed=4, check_interval=0.5,
-            engine="set")
+            10, 1.0, 3.0, 500.0, seed=4, check_interval=0.5)
         assert parallel == serial
 
 

@@ -5,8 +5,10 @@ scalar :class:`~repro.coteries.base.QuorumEvaluator` bit for bit:
 
 * on every one of the ``2^N`` masks for every registered family at
   every registered size (the lint registry's ``COTERIE_FAMILIES``);
-* after randomized epoch rebinds at N = 25 and N = 49 for the families
-  supporting :meth:`rebind_epoch` (grid, default majority);
+* for an epoch's coterie compiled over the full universe, against the
+  scalar evaluator the dynamic estimator rebinds to that epoch (grid
+  and default majority at N = 25 and 49) or compiles afresh (families
+  that refuse rebinding);
 * through both mask representations (integer arrays and pre-unpacked
   bit matrices) and for universes wider than 64 bits.
 """
@@ -94,7 +96,15 @@ class TestExhaustiveEquivalence:
             assert r == scalar.is_read_quorum(mask)
 
 
+def _epoch_members(nodes, epoch_mask):
+    return [name for i, name in enumerate(nodes) if epoch_mask >> i & 1]
+
+
 class TestEpochRebind:
+    """Batch kernels have no rebind: an epoch's coterie is compiled over
+    the universe, and must answer as the scalar evaluator does after the
+    dynamic estimator's epoch change."""
+
     @pytest.mark.parametrize("rule,cls", [
         (GridCoterie, BatchGridEvaluator),
         (MajorityCoterie, BatchVotingEvaluator),
@@ -103,8 +113,6 @@ class TestEpochRebind:
     def test_randomized_rebind_matches_scalar(self, rule, cls, n):
         nodes = _nodes(n)
         scalar = rule(nodes).compile(nodes)
-        batch = rule(nodes).compile_batch(nodes)
-        assert isinstance(batch, cls) and batch.supports_rebind
         assert scalar.supports_rebind
         rng = random.Random(n)
         full = (1 << n) - 1
@@ -116,7 +124,8 @@ class TestEpochRebind:
             if not epoch:
                 epoch = full
             scalar.rebind_epoch(epoch)
-            batch.rebind_epoch(epoch)
+            batch = rule(_epoch_members(nodes, epoch)).compile_batch(nodes)
+            assert isinstance(batch, cls)
             probes = np.array([rng.randrange(1 << n) for _ in range(100)])
             probe_bits = unpack_masks(probes.tolist(), n)
             got_r = batch.read_bits(probe_bits)
@@ -126,12 +135,23 @@ class TestEpochRebind:
                 assert w == scalar.is_write_quorum(int(mask))
 
     def test_rebind_unsupported_families_raise(self):
+        """Where the scalar evaluator refuses to rebind, the estimator
+        compiles the epoch's coterie; the batch kernel of that coterie
+        agrees with it on every mask of the universe."""
         for family in ("tree", "wall", "rowa"):
             rule, sizes = COTERIE_FAMILIES[family]
-            batch = rule(_nodes(sizes[-1])).compile_batch()
-            assert not batch.supports_rebind
+            nodes = _nodes(sizes[-1])
+            scalar = rule(nodes).compile(nodes)
+            assert not scalar.supports_rebind
             with pytest.raises(CoterieError):
-                batch.rebind_epoch(1)
+                scalar.rebind_epoch(1)
+            epoch = (1 << len(nodes)) - 2  # every node but the first
+            coterie = rule(_epoch_members(nodes, epoch))
+            reads, writes = _scalar_tables(coterie, nodes)
+            batch = coterie.compile_batch(nodes)
+            masks = np.arange(1 << len(nodes), dtype=np.uint64)
+            assert (batch.is_read_quorum_batch(masks) == reads).all()
+            assert (batch.is_write_quorum_batch(masks) == writes).all()
 
 
 class TestPackedWords:
@@ -152,18 +172,18 @@ class TestPackedWords:
 
     @pytest.mark.parametrize("rule", [GridCoterie, MajorityCoterie])
     def test_rebind_keeps_packed_kernels_in_sync(self, rule):
-        n = 70  # two words, so rebinds cross the word boundary
+        """An epoch's coterie over the whole universe: its members are
+        scattered across both words of N = 70."""
+        n = 70
         nodes = _nodes(n)
-        batch = rule(nodes).compile_batch(nodes)
-        assert batch.supports_packed
         rng = random.Random(13)
         full = (1 << n) - 1
         for _ in range(10):
-            epoch = full & ~sum(1 << i for i in rng.sample(range(n),
-                                                           rng.randrange(n)))
-            if not epoch:
-                epoch = full
-            batch.rebind_epoch(epoch)
+            dropped = set(rng.sample(range(n), rng.randrange(n)))
+            members = [name for i, name in enumerate(nodes)
+                       if i not in dropped]
+            batch = rule(members).compile_batch(nodes)
+            assert batch.supports_packed
             probes = [rng.randrange(full + 1) for _ in range(80)]
             bits = unpack_masks(probes, n)
             words = pack_matrix(bits)

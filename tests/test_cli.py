@@ -73,27 +73,11 @@ class TestSimulateCommand:
                      "--workers", "2"]) == 0
         assert "workers = 2" in capsys.readouterr().out
 
-    def test_engine_flag(self, capsys):
-        assert main(["simulate", "--n", "6", "--horizon", "300",
-                     "--engine", "set"]) == 0
-        out = capsys.readouterr().out
-        assert "engine = set" in out and "sampler" not in out
-
     def test_sampler_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit):
             main(["simulate", "--n", "6", "--horizon", "300",
                   "--sampler", "compat"])
         assert "unrecognized arguments" in capsys.readouterr().err
-
-    def test_serial_default_matches_engine_choice(self, capsys):
-        """Same seed, either engine: the CLI prints identical numbers."""
-        assert main(["simulate", "--n", "6", "--horizon", "400",
-                     "--seed", "9"]) == 0
-        default = capsys.readouterr().out.splitlines()[-1]
-        assert main(["simulate", "--n", "6", "--horizon", "400",
-                     "--seed", "9", "--engine", "set"]) == 0
-        set_engine = capsys.readouterr().out.splitlines()[-1]
-        assert default == set_engine
 
 
 class TestDemoCommand:

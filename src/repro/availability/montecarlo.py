@@ -48,22 +48,27 @@ two give bit-identical estimates and differ only in speed.  The CLI and
 the parallel fan-out run the default:
 
 * ``"bitmask"`` (default) -- each coterie is compiled once into an
-  incremental evaluator (``coterie.compile(nodes)``): the up-set is an
+  incremental evaluator (``coterie.compile()``): the up-set is an
   integer bitmask and a failure/repair event updates per-structure
-  counters in O(1) instead of rescanning the structure.  On an epoch
-  change the dynamic estimator rebinds the evaluator in place when the
-  structure is a uniform function of the member mask (grid, default
-  majority; see
-  :meth:`~repro.coteries.base.QuorumEvaluator.rebind_epoch`).  A rebind
-  visits no node -- a grid member's column is its rank in the epoch
-  mask, a majority member's vote is its bit -- so an epoch change costs
-  the same at every N.  Other rules fall back to an LRU cache of
-  compiled epoch coteries keyed by the epoch's member bitmask, so epoch
-  flapping between a handful of up-sets never re-derives the structure.
+  counters in O(1) instead of rescanning the structure.
 * ``"set"`` -- the reference: a
   :class:`~repro.coteries.base.SetRecomputeEvaluator` keeps the up-set
   as a set of names and re-runs the coterie's set-of-names predicates on
-  every query, with a fresh ``rule(epoch)`` coterie per (cached) epoch.
+  every query.
+
+The dynamic estimator changes epoch one way for every coterie family.
+It keeps the up-set as an int beside the epoch mask; its evaluator
+holds only the epoch's members, node i at its *rank*
+``(epoch_mask & ((1 << i) - 1)).bit_count()``, and a non-member's flip
+is not forwarded.  Precondition: ``rule`` is the paper's coterie rule,
+a function of the *ordered* epoch list, so ``rule(members)`` decides a
+subset as ``rule(nodes[:k])`` decides its ranks (k members) -- true of
+every shipped family, whose structure depends on positions and k
+alone.  The bitmask engine therefore compiles one evaluator per member
+count, on first use, and an epoch change is a list lookup plus
+``reset_full()``.  The set engine builds ``rule(members)`` from the
+members' real names at every epoch, so the engine-agreement tests check
+the precondition independently.
 
 Event sampling
 --------------
@@ -84,7 +89,6 @@ from __future__ import annotations
 import random
 from bisect import insort
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional
 
 from repro.coteries.base import (
@@ -95,9 +99,6 @@ from repro.coteries.base import (
 )
 from repro.sim.seeding import derive_rng
 from repro.coteries.grid import GridCoterie
-
-#: maximum number of compiled epoch coteries kept per estimator run
-EPOCH_CACHE_SIZE = 64
 
 #: one step of an estimator's timeline: (time, node index, now up)
 Event = tuple[float, int, bool]
@@ -165,9 +166,9 @@ def simulate_static_availability(n_nodes: int, lam: float, mu: float,
                                  ) -> AvailabilityEstimate:
     """Fraction of time the up-set contains a static quorum."""
     _check_kind(kind)
-    _check_horizon(horizon)
+    _check_model(n_nodes, lam, mu, horizon)
     nodes = [f"n{i:03d}" for i in range(n_nodes)]
-    evaluator = _compiler(engine, nodes)(rule(nodes))
+    evaluator = _evaluator(engine, rule(nodes))
     evaluator.reset((1 << n_nodes) - 1)
     predicate = (evaluator.is_write_quorum if kind == "write"
                  else evaluator.is_read_quorum)
@@ -230,26 +231,20 @@ def simulate_dynamic_availability(
         engine: str = "bitmask") -> AvailabilityEstimate:
     """Fraction of time the dynamic epoch protocol is available.
 
-    The epoch state is one evaluator over the full replica universe (bit
-    positions never move): its ``v_mask`` is the epoch, its ``mask`` the
-    up-set.  An epoch change rebinds it in place where the rule allows
-    and otherwise swaps in the (cached) evaluator of the new epoch.
+    The epoch and the up-set are two masks over the replica universe;
+    the evaluator holds the epoch's members by rank (see the module
+    docs), so a flip reaches it only for a member, and an epoch change
+    swaps in the evaluator of the new epoch, fully up.
     """
     _check_kind(kind)
-    _check_horizon(horizon)
+    _check_model(n_nodes, lam, mu, horizon)
     if idealized and check_interval is not None:
         raise ValueError("idealized mode assumes instantaneous checks")
     if check_interval is not None and check_interval <= 0:
         raise ValueError("check_interval must be positive")
-    nodes = [f"n{i:03d}" for i in range(n_nodes)]
-    compile_ = _compiler(engine, nodes)
-
-    @lru_cache(maxsize=EPOCH_CACHE_SIZE)
-    def evaluator_for(epoch_mask: int) -> QuorumEvaluator:
-        return compile_(rule(tuple(name for i, name in enumerate(nodes)
-                                   if epoch_mask >> i & 1)))
-
-    epoch_mask = (1 << n_nodes) - 1
+    evaluator_for = _epoch_evaluators(
+        engine, rule, [f"n{i:03d}" for i in range(n_nodes)])
+    epoch_mask = up_mask = (1 << n_nodes) - 1
     evaluator = evaluator_for(epoch_mask)
     evaluator.reset_full()
     min_epoch = min(n_nodes, 3)
@@ -270,23 +265,24 @@ def simulate_dynamic_availability(
             checking = True
         else:
             n_events += 1
-            if now_up:
-                evaluator.node_up(index)
-            else:
-                evaluator.node_down(index)
+            bit = 1 << index
+            up_mask ^= bit
+            if epoch_mask & bit:
+                rank = (epoch_mask & (bit - 1)).bit_count()
+                if now_up:
+                    evaluator.node_up(rank)
+                else:
+                    evaluator.node_down(rank)
             checking = instant  # site-model assumption (4)
         if checking and (
-                _idealized_check(epoch_mask, evaluator.mask, min_epoch)
+                _idealized_check(epoch_mask, up_mask, min_epoch)
                 if idealized else evaluator.is_write_quorum()):
             # a successful check makes the epoch exactly the up-set, and
             # a coterie's full member set holds every one of its quorums
-            if evaluator.mask != epoch_mask:
-                epoch_mask = evaluator.mask
-                if evaluator.supports_rebind:
-                    evaluator.rebind_epoch(epoch_mask)
-                else:
-                    evaluator = evaluator_for(epoch_mask)
-                    evaluator.reset_full()
+            if up_mask != epoch_mask:
+                epoch_mask = up_mask
+                evaluator = evaluator_for(epoch_mask)
+                evaluator.reset_full()
                 n_epoch_changes += 1
             now_available = True
         elif not write:
@@ -294,8 +290,7 @@ def simulate_dynamic_availability(
         elif idealized:
             # write availability coincides with epoch-check success (the
             # Figure 3 "upper row")
-            now_available = _idealized_check(epoch_mask, evaluator.mask,
-                                             min_epoch)
+            now_available = _idealized_check(epoch_mask, up_mask, min_epoch)
         else:
             now_available = evaluator.is_write_quorum()
         if was_available:
@@ -310,13 +305,33 @@ def simulate_dynamic_availability(
                                 n_events, n_epoch_changes, n_stuck)
 
 
-def _compiler(engine: str, nodes) -> Callable[[Coterie], QuorumEvaluator]:
-    """How *engine* turns a coterie into an evaluator over *nodes*."""
+def _evaluator(engine: str, coterie: Coterie) -> QuorumEvaluator:
+    """*engine*'s evaluator of *coterie*; bit i is ``coterie.nodes[i]``."""
     if engine == "bitmask":
-        return lambda coterie: coterie.compile(nodes)
+        return coterie.compile()
     if engine == "set":
-        return lambda coterie: SetRecomputeEvaluator(coterie, nodes)
+        return SetRecomputeEvaluator(coterie)
     raise ValueError(f"engine must be bitmask or set, got {engine!r}")
+
+
+def _epoch_evaluators(engine: str, rule: CoterieRule, nodes: list[str]
+                      ) -> Callable[[int], QuorumEvaluator]:
+    """The evaluator of an epoch mask over *nodes*; bit j is the epoch's
+    j-th member."""
+    if engine == "set":
+        # the reference: a fresh coterie over the members' real names
+        return lambda epoch_mask: _evaluator(engine, rule(
+            [name for i, name in enumerate(nodes) if epoch_mask >> i & 1]))
+    by_count: list[Optional[QuorumEvaluator]] = [None] * (len(nodes) + 1)
+
+    def evaluator_for(epoch_mask: int) -> QuorumEvaluator:
+        k = epoch_mask.bit_count()
+        evaluator = by_count[k]
+        if evaluator is None:
+            evaluator = by_count[k] = _evaluator(engine, rule(nodes[:k]))
+        return evaluator
+
+    return evaluator_for
 
 
 def _check_kind(kind: str) -> None:
@@ -324,6 +339,14 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"kind must be read or write, got {kind!r}")
 
 
-def _check_horizon(horizon: float) -> None:
+def _check_model(n_nodes: int, lam: float, mu: float,
+                 horizon: float) -> None:
+    """The site model's parameters: ``lam = 0`` or ``mu = 0`` (nodes that
+    never fail, or never repair) is a legal model; a negative rate is
+    not."""
+    if n_nodes < 1:
+        raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
+    if lam < 0 or mu < 0:
+        raise ValueError(f"rates must be >= 0, got lam={lam}, mu={mu}")
     if horizon <= 0:
         raise ValueError("horizon must be positive")

@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 
 from repro.availability.montecarlo import (
     AvailabilityEstimate,
-    _check_horizon,
+    _check_model,
     simulate_dynamic_availability,
     simulate_static_availability,
 )
@@ -126,7 +126,7 @@ def simulate_availability_parallel(
         workers = os.cpu_count() or 1
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    _check_horizon(horizon)
+    _check_model(n_nodes, lam, mu, horizon)
     kwargs = {"kind": kind}
     if protocol == "dynamic":
         kwargs["idealized"] = idealized

@@ -39,8 +39,8 @@ import numpy as np
 
 from repro.availability.montecarlo import (
     AvailabilityEstimate,
-    _check_horizon,
     _check_kind,
+    _check_model,
 )
 from repro.coteries.base import CoterieRule
 from repro.coteries.batch import pack_matrix
@@ -172,7 +172,7 @@ def simulate_static_availability_vector(
         block: int = DEFAULT_BLOCK) -> AvailabilityEstimate:
     """Vectorized :func:`~repro.availability.montecarlo.simulate_static_availability`."""
     _check_kind(kind)
-    _check_horizon(horizon)
+    _check_model(n_nodes, lam, mu, horizon)
     _check_rates(lam, mu)
     gen = derive_generator(seed, "availability.vector")
     nodes = [f"n{i:03d}" for i in range(n_nodes)]

@@ -37,12 +37,6 @@ from repro.coteries.composite import (
     composite_rule,
     partition_groups,
 )
-from repro.coteries.domination import (
-    dominate,
-    dominating_witness,
-    is_dominated,
-    transversals,
-)
 from repro.coteries.grid import GridCoterie, GridShape, define_grid
 from repro.coteries.hierarchical import HierarchicalCoterie
 from repro.coteries.majority import MajorityCoterie, WeightedVotingCoterie
@@ -82,12 +76,8 @@ __all__ = [
     "triangle_widths",
     "wall_rule",
     "define_grid",
-    "dominate",
-    "dominating_witness",
-    "is_dominated",
     "minimal_quorums",
     "optimize_strategy",
-    "transversals",
     "verify_coterie",
     "verify_monotonicity",
 ]

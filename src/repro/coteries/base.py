@@ -132,11 +132,10 @@ class Coterie(ABC):
         """A :class:`QuorumEvaluator` for this coterie over *universe*.
 
         *universe* is the ordered node list defining bit positions; it
-        defaults to V and may be a superset of V (the dynamic protocol
-        compiles epoch coteries over the full replica set so bit
-        positions stay stable across epoch changes).  Bits for nodes
-        outside V never affect the answers, mirroring how the set-based
-        predicates ignore names outside V.
+        defaults to V and may be a superset of V (an epoch's coterie
+        over the full replica set, say).  Bits for nodes outside V never
+        affect the answers, mirroring how the set-based predicates
+        ignore names outside V.
 
         Subclasses override this to return incremental structure-aware
         evaluators; the default falls back to
@@ -254,27 +253,6 @@ class QuorumEvaluator(ABC):
         epoch exactly the up-set.
         """
         self.reset(self.v_mask)
-
-    #: True for evaluator classes that implement :meth:`rebind_epoch`.
-    supports_rebind = False
-
-    def rebind_epoch(self, epoch_mask: int) -> None:
-        """Re-derive the structure for a new epoch, in place.
-
-        The new member set V' is the subsequence of the universe
-        selected by *epoch_mask*; the tracked up-set becomes exactly V'
-        (the dynamic protocol installs an epoch only when it equals the
-        up-set).  Only meaningful for structures whose derivation from
-        an ordered node list is *uniform* -- the same construction
-        options at every epoch size, which is precisely the paper's
-        coterie-rule assumption -- so the evaluator can rebuild its
-        tables from the mask alone, without constructing a new
-        :class:`Coterie` (after a rebind, :attr:`coterie` is cleared to
-        ``None``).  Subclasses that support this set
-        ``supports_rebind = True``; the default raises.
-        """
-        raise CoterieError(
-            f"{type(self).__name__} does not support epoch rebinding")
 
     @abstractmethod
     def node_up(self, i: int) -> None:

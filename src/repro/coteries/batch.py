@@ -41,9 +41,8 @@ and dispatch to their bit-matrix kernels.
 
 Unlike scalar evaluators, batch evaluators are *stateless*: the same
 instance can be shared across threads and kinds (no tracked up-set).
-They score a fixed coterie; an epoch change is the scalar engine's job
-(:meth:`~repro.coteries.base.QuorumEvaluator.rebind_epoch`), and a
-caller that needs another member set compiles ``rule(members)``.
+They score a fixed coterie, as scalar evaluators do; a caller that
+needs another member set compiles ``rule(members)``.
 
 Answers agree bit-for-bit with the coterie's set-based predicates on
 every mask -- the golden equivalence tests sweep all 2^N masks per

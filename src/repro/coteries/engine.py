@@ -4,30 +4,27 @@ Each class here compiles one coterie structure into per-node tally
 tables so that quorum membership can be re-evaluated after a single
 failure/repair event without rescanning the structure:
 
-========================  =========================================  =========  =================
-structure                 incremental state                          per event  epoch rebind
-========================  =========================================  =========  =================
-grid                      per-column hit counters + two summaries    O(1)       O(1) + sqrt(N) copy
-(weighted) voting         live vote sum                              O(1)       O(1) (unit votes)
-read-one/write-all        live member count                          O(1)       --
-crumbling wall            per-row hit counters (+ O(rows) write)     O(1)*      --
-tree                      per-subtree satisfaction + child counts    O(depth)   --
-hierarchical              per-group satisfied-child counts (r & w)   O(levels)  --
-composite                 inner evaluators + outer evaluators        O(inner)   --
-========================  =========================================  =========  =================
+========================  =========================================  =========
+structure                 incremental state                          per event
+========================  =========================================  =========
+grid                      per-column hit counters + two summaries    O(1)
+(weighted) voting         live vote sum                              O(1)
+read-one/write-all        live member count                          O(1)
+crumbling wall            per-row hit counters (+ O(rows) write)     O(1)*
+tree                      per-subtree satisfaction + child counts    O(depth)
+hierarchical              per-group satisfied-child counts (r & w)   O(levels)
+composite                 inner evaluators + outer evaluators        O(inner)
+========================  =========================================  =========
 
 (*) the wall's write query walks rows bottom-up with early exit --
 O(#rows) = O(sqrt N) worst case, still structure-free per event.
 
-*Epoch rebind* is :meth:`~repro.coteries.base.QuorumEvaluator.rebind_epoch`,
-the dynamic protocol's epoch change.  Neither rebinding family visits a
-node: the grid looks its shape up by member count (a table of at most
-N+1 entries, filled on first use) and copies the per-column counters of
-that shape; default-threshold majority recomputes two thresholds.  What
-depends on *which* nodes are members -- a grid member's column, a
-majority member's vote -- is read off the epoch mask when the node
-flips.  ``--`` families do not rebind; their callers compile
-``rule(epoch)`` per epoch.
+An evaluator scores one fixed coterie; none knows about epochs.  The
+dynamic Monte Carlo estimator changes epoch by swapping evaluators: a
+coterie rule is a function of the ordered epoch list, so the epoch of k
+members is ``rule(nodes[:k]).compile()`` with each member at its rank,
+one evaluator per member count for every family
+(:mod:`repro.availability.montecarlo`).
 
 All evaluators share the :class:`~repro.coteries.base.QuorumEvaluator`
 contract: bit i of a mask refers to ``universe[i]``; bits for nodes
@@ -44,7 +41,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.coteries.base import Coterie, QuorumEvaluator
-from repro.coteries.grid import define_grid
 
 
 class GridEvaluator(QuorumEvaluator):
@@ -55,87 +51,31 @@ class GridEvaluator(QuorumEvaluator):
     whose every physical member is live.  Read quorum: every column hit.
     Write quorum: read quorum plus some coverable column full.  Both are
     O(1); each node flip touches exactly one column's counter.
-
-    Compiled from a coterie, the column of each universe bit is an
-    explicit table.  After :meth:`rebind_epoch` there is no table:
-    ``DefineGrid`` fixes the shape from the member count and row-major
-    fill puts the k-th member (in universe order) in column
-    ``k mod n_cols``, so the column of node i is its *rank in the epoch
-    mask* -- ``(v_mask & ((1 << i) - 1)).bit_count() % n_cols`` -- and
-    everything else about the grid depends on the member count alone.
     """
-
-    supports_rebind = True
 
     def __init__(self, coterie: Coterie,
                  universe: Optional[Sequence[str]] = None):
         super().__init__(coterie, universe)
-        self._cover = coterie.column_cover
         self._n_cols = coterie.shape.n
         self._col_need = [len(column) for column in coterie.columns]
         self._col_full_ok = [coterie._column_may_count_as_full(j)
                              for j in range(1, self._n_cols + 1)]
-        col_of = [-1] * self.n_bits
+        # column index per universe bit (-1: not a member of this grid)
+        self._col_of = [-1] * self.n_bits
         for j, column in enumerate(coterie.columns):
             for name in column:
-                col_of[self.bit[name]] = j
-        # column index per universe bit (-1: not a member of this grid);
-        # None once rebound, when a member's column is its rank in v_mask
-        self._col_of: Optional[list[int]] = col_of
+                self._col_of[self.bit[name]] = j
         self._n_full_ok = sum(self._col_full_ok)
-        # member count -> (n_cols, col_need, col_full_ok, n_full_ok) of
-        # the rebound grid of that size, filled on first use
-        self._by_size: list[Optional[tuple]] = [None] * (self.n_bits + 1)
         self._hits = [0] * self._n_cols
         self._cols_hit = 0
         self._cols_full = 0
 
-    def _shape_for(self, n_members: int) -> tuple:
-        shape = define_grid(n_members)
-        full_cut = shape.n - shape.b  # 0-based columns >= this are short
-        col_need = [shape.m - 1 if j >= full_cut else shape.m
-                    for j in range(shape.n)]
-        if self._cover == "physical":
-            col_full_ok = [True] * shape.n
-        else:
-            col_full_ok = [need == shape.m for need in col_need]
-        entry = (shape.n, col_need, col_full_ok, sum(col_full_ok))
-        self._by_size[n_members] = entry
-        return entry
-
-    def rebind_epoch(self, epoch_mask: int) -> None:
-        # No GridCoterie is built and no node is visited: the per-size
-        # entry is shared between epochs (never mutated) and the only
-        # per-epoch work is one copy of the sqrt(N) column counters.
-        # Tracked state becomes "all members up", the post-epoch-check
-        # condition.
-        n_members = epoch_mask.bit_count()
-        (self._n_cols, self._col_need, self._col_full_ok,
-         self._n_full_ok) = (self._by_size[n_members]
-                             or self._shape_for(n_members))
-        self.coterie = None
-        self._col_of = None
-        self.v_mask = epoch_mask
-        self.reset_full()
-
     def reset(self, mask: int) -> None:
         self.mask = mask
-        n_cols = self._n_cols
-        hits = [0] * n_cols
-        col_of = self._col_of
-        if col_of is None:
-            members = self.v_mask
-            k = 0
-            while members:
-                low = members & -members
-                if mask & low:
-                    hits[k % n_cols] += 1
-                members ^= low
-                k += 1
-        else:
-            for i, j in enumerate(col_of):
-                if j >= 0 and mask >> i & 1:
-                    hits[j] += 1
+        hits = [0] * self._n_cols
+        for i, j in enumerate(self._col_of):
+            if j >= 0 and mask >> i & 1:
+                hits[j] += 1
         self._hits = hits
         self._cols_hit = sum(1 for h in hits if h > 0)
         self._cols_full = sum(
@@ -150,16 +90,9 @@ class GridEvaluator(QuorumEvaluator):
 
     def node_up(self, i: int) -> None:
         self.mask |= 1 << i
-        col_of = self._col_of
-        if col_of is not None:
-            j = col_of[i]
-            if j < 0:
-                return
-        else:
-            members = self.v_mask
-            if not members >> i & 1:
-                return
-            j = (members & ((1 << i) - 1)).bit_count() % self._n_cols
+        j = self._col_of[i]
+        if j < 0:
+            return
         hits = self._hits
         h = hits[j] + 1
         hits[j] = h
@@ -170,16 +103,9 @@ class GridEvaluator(QuorumEvaluator):
 
     def node_down(self, i: int) -> None:
         self.mask &= ~(1 << i)
-        col_of = self._col_of
-        if col_of is not None:
-            j = col_of[i]
-            if j < 0:
-                return
-        else:
-            members = self.v_mask
-            if not members >> i & 1:
-                return
-            j = (members & ((1 << i) - 1)).bit_count() % self._n_cols
+        j = self._col_of[i]
+        if j < 0:
+            return
         hits = self._hits
         h = hits[j] - 1
         hits[j] = h
@@ -204,55 +130,24 @@ class VotingEvaluator(QuorumEvaluator):
 
     ``weight_of[i]`` is the vote count of ``universe[i]`` (0 for
     non-members), so both predicates are threshold comparisons against a
-    single maintained integer -- the popcount-style O(1) case.  A
-    rebound evaluator (unit weights by construction) has no table: the
-    vote of node i is bit i of the epoch mask.
+    single maintained integer -- the popcount-style O(1) case.
     """
 
     def __init__(self, coterie: Coterie,
                  universe: Optional[Sequence[str]] = None):
         super().__init__(coterie, universe)
-        weight_of = [0] * self.n_bits
+        self._weight_of = [0] * self.n_bits
         for name in coterie.nodes:
-            weight_of[self.bit[name]] = coterie.weights[name]
-        # None once rebound, when a member's vote is its bit of v_mask
-        self._weight_of: Optional[list[int]] = weight_of
+            self._weight_of[self.bit[name]] = coterie.weights[name]
         self._read_votes = coterie.read_votes
         self._write_votes = coterie.write_votes
         self._total_votes = coterie.total_votes
         self._votes = 0
-        # A rebind re-derives thresholds from the member count alone, so
-        # it is only sound for the unweighted default-threshold majority
-        # (simple-majority writes); custom weights or thresholds are not
-        # a uniform function of N.
-        total = coterie.total_votes
-        self.supports_rebind = (
-            total == coterie.n_nodes
-            and coterie.write_votes == total // 2 + 1
-            and coterie.read_votes == total + 1 - coterie.write_votes
-            and all(w == 1 for w in coterie.weights.values()))
-
-    def rebind_epoch(self, epoch_mask: int) -> None:
-        if not self.supports_rebind:
-            super().rebind_epoch(epoch_mask)  # raises
-        n_members = epoch_mask.bit_count()
-        self.coterie = None
-        self.v_mask = epoch_mask
-        self._weight_of = None
-        self._total_votes = n_members
-        self._write_votes = n_members // 2 + 1
-        self._read_votes = n_members + 1 - self._write_votes
-        self.mask = epoch_mask
-        self._votes = n_members
 
     def reset(self, mask: int) -> None:
         self.mask = mask
-        weight_of = self._weight_of
-        if weight_of is None:
-            self._votes = (mask & self.v_mask).bit_count()
-        else:
-            self._votes = sum(w for i, w in enumerate(weight_of)
-                              if w and mask >> i & 1)
+        self._votes = sum(w for i, w in enumerate(self._weight_of)
+                          if w and mask >> i & 1)
 
     def reset_full(self) -> None:
         self.mask = self.v_mask
@@ -260,15 +155,11 @@ class VotingEvaluator(QuorumEvaluator):
 
     def node_up(self, i: int) -> None:
         self.mask |= 1 << i
-        weight_of = self._weight_of
-        self._votes += (self.v_mask >> i & 1 if weight_of is None
-                        else weight_of[i])
+        self._votes += self._weight_of[i]
 
     def node_down(self, i: int) -> None:
         self.mask &= ~(1 << i)
-        weight_of = self._weight_of
-        self._votes -= (self.v_mask >> i & 1 if weight_of is None
-                        else weight_of[i])
+        self._votes -= self._weight_of[i]
 
     def is_read_quorum(self, mask: Optional[int] = None) -> bool:
         if mask is not None:

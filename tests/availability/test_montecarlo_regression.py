@@ -32,6 +32,8 @@ from repro.coteries import (
     WallCoterie,
 )
 
+from tests.coteries.test_quorum_engine import RANK_RULES
+
 RULES = {"grid": GridCoterie, "majority": MajorityCoterie,
          "tree": TreeCoterie, "wall": WallCoterie}
 
@@ -159,15 +161,22 @@ def test_engines_agree_pathwise():
         assert a == b
 
 
-def test_dynamic_engines_agree_for_non_rebindable_rule():
-    """Rules without in-place rebinding take the LRU-cache path; it must
-    be just as invisible."""
-    for rule in (TreeCoterie, WallCoterie):
-        a = simulate_dynamic_availability(13, 1.0, 2.5, 400.0, seed=11,
-                                          rule=rule, engine="bitmask")
-        b = simulate_dynamic_availability(13, 1.0, 2.5, 400.0, seed=11,
-                                          rule=rule, engine="set")
+@pytest.mark.parametrize("family", sorted(RANK_RULES))
+def test_dynamic_engines_agree_for_every_family(family):
+    """The bitmask engine compiles ``rule(nodes[:k])`` once per member
+    count and addresses members by rank; the set engine builds
+    ``rule(members)`` from the members' real names at every epoch.  Equal
+    trajectories check the positional precondition independently."""
+    rule = RANK_RULES[family]
+    for kwargs in ({}, {"check_interval": 0.3, "kind": "read"}):
+        a = simulate_dynamic_availability(13, 1.0, 2.5, 200.0, seed=11,
+                                          rule=rule, engine="bitmask",
+                                          **kwargs)
+        b = simulate_dynamic_availability(13, 1.0, 2.5, 200.0, seed=11,
+                                          rule=rule, engine="set", **kwargs)
         assert a == b
+        # ROWA writes need every member, so its epoch can never shrink
+        assert a.n_epoch_changes > 0 or family == "rowa"
 
 
 def test_bad_engine_rejected_and_sampler_gone():
@@ -188,6 +197,33 @@ def test_non_positive_horizon_rejected(horizon):
                       simulate_static_availability_vector):
         with pytest.raises(ValueError, match="horizon must be positive"):
             estimator(9, 1.0, 19.0, horizon)
+
+
+@pytest.mark.parametrize("n,lam,mu,message", [
+    (9, -1.0, 4.0, "rates must be >= 0"),
+    (9, 1.0, -4.0, "rates must be >= 0"),
+    (0, 1.0, 4.0, "n_nodes must be >= 1"),
+])
+def test_bad_site_model_rejected(n, lam, mu, message):
+    """Was ``availability=1.000000`` for a negative rate (no event is
+    ever drawn) and a ``CoterieError`` from deep in the rule at N = 0."""
+    for estimator in (simulate_static_availability,
+                      simulate_dynamic_availability,
+                      simulate_availability_parallel):
+        with pytest.raises(ValueError, match=message):
+            estimator(n, lam, mu, 100.0)
+
+
+def test_zero_rates_stay_legal():
+    """No failures: always available.  No repairs: a legal model too."""
+    for estimator in (simulate_static_availability,
+                      simulate_dynamic_availability):
+        never_fails = estimator(9, 0.0, 4.0, 100.0)
+        assert never_fails.availability == 1.0
+        assert never_fails.n_events == 0
+        never_repaired = estimator(9, 1.0, 0.0, 100.0, seed=3)
+        assert never_repaired.n_events == 9
+        assert never_repaired.availability < 1.0
 
 
 def test_one_sampler_and_one_loop_per_estimator():

@@ -5,10 +5,9 @@ scalar :class:`~repro.coteries.base.QuorumEvaluator` bit for bit:
 
 * on every one of the ``2^N`` masks for every registered family at
   every registered size (the lint registry's ``COTERIE_FAMILIES``);
-* for an epoch's coterie compiled over the full universe, against the
-  scalar evaluator the dynamic estimator rebinds to that epoch (grid
-  and default majority at N = 25 and 49) or compiles afresh (families
-  that refuse rebinding);
+* for an epoch's coterie compiled over the full universe, its members
+  scattered through it (grid and default majority at N = 25 and 49 on
+  random probes, every family on every mask);
 * through both mask representations (integer arrays and pre-unpacked
   bit matrices) and for universes wider than 64 bits.
 """
@@ -100,20 +99,18 @@ def _epoch_members(nodes, epoch_mask):
     return [name for i, name in enumerate(nodes) if epoch_mask >> i & 1]
 
 
-class TestEpochRebind:
-    """Batch kernels have no rebind: an epoch's coterie is compiled over
-    the universe, and must answer as the scalar evaluator does after the
-    dynamic estimator's epoch change."""
+class TestEpochCoterieOverUniverse:
+    """An epoch's coterie compiled over the whole replica universe, its
+    members scattered through it: the batch kernel scores every mask as
+    the scalar evaluator of the same coterie over the same universe."""
 
     @pytest.mark.parametrize("rule,cls", [
         (GridCoterie, BatchGridEvaluator),
         (MajorityCoterie, BatchVotingEvaluator),
     ])
     @pytest.mark.parametrize("n", [25, 49])
-    def test_randomized_rebind_matches_scalar(self, rule, cls, n):
+    def test_randomized_epochs_match_scalar(self, rule, cls, n):
         nodes = _nodes(n)
-        scalar = rule(nodes).compile(nodes)
-        assert scalar.supports_rebind
         rng = random.Random(n)
         full = (1 << n) - 1
         for _ in range(25):
@@ -123,8 +120,9 @@ class TestEpochRebind:
                                                            rng.randrange(n)))
             if not epoch:
                 epoch = full
-            scalar.rebind_epoch(epoch)
-            batch = rule(_epoch_members(nodes, epoch)).compile_batch(nodes)
+            coterie = rule(_epoch_members(nodes, epoch))
+            scalar = coterie.compile(nodes)
+            batch = coterie.compile_batch(nodes)
             assert isinstance(batch, cls)
             probes = np.array([rng.randrange(1 << n) for _ in range(100)])
             probe_bits = unpack_masks(probes.tolist(), n)
@@ -134,22 +132,16 @@ class TestEpochRebind:
                 assert r == scalar.is_read_quorum(int(mask))
                 assert w == scalar.is_write_quorum(int(mask))
 
-    def test_rebind_unsupported_families_raise(self):
-        """Where the scalar evaluator refuses to rebind, the estimator
-        compiles the epoch's coterie; the batch kernel of that coterie
-        agrees with it on every mask of the universe."""
-        for family in ("tree", "wall", "rowa"):
-            rule, sizes = COTERIE_FAMILIES[family]
-            nodes = _nodes(sizes[-1])
-            scalar = rule(nodes).compile(nodes)
-            assert not scalar.supports_rebind
-            with pytest.raises(CoterieError):
-                scalar.rebind_epoch(1)
-            epoch = (1 << len(nodes)) - 2  # every node but the first
+    @pytest.mark.parametrize("family", sorted(COTERIE_FAMILIES))
+    def test_every_family_exhaustively(self, family):
+        rule, sizes = COTERIE_FAMILIES[family]
+        nodes = _nodes(sizes[-1])
+        full = (1 << len(nodes)) - 1
+        masks = np.arange(full + 1, dtype=np.uint64)
+        for epoch in (full - 1, full & 0b1011_0110_1):  # n000 down; scattered
             coterie = rule(_epoch_members(nodes, epoch))
             reads, writes = _scalar_tables(coterie, nodes)
             batch = coterie.compile_batch(nodes)
-            masks = np.arange(1 << len(nodes), dtype=np.uint64)
             assert (batch.is_read_quorum_batch(masks) == reads).all()
             assert (batch.is_write_quorum_batch(masks) == writes).all()
 

@@ -4,8 +4,9 @@ Every :meth:`Coterie.compile` evaluator must return the same answers as
 its coterie's set-based reference predicates on *every* subset, under
 every way of reaching that subset: a full ``reset(mask)``, an
 incremental up/down walk, a ``reset_full``, compilation over a superset
-universe, and (where supported) an in-place ``rebind_epoch``.  The
-whole dynamic Monte Carlo estimator rides on this equivalence, so it is
+universe, and -- the dynamic estimator's epoch change -- the rule's
+coterie over a prefix of the universe addressed by rank.  The whole
+dynamic Monte Carlo estimator rides on this equivalence, so it is
 enforced property-style across all coterie families and sizes up to
 100 nodes.
 """
@@ -13,16 +14,11 @@ enforced property-style across all coterie families and sizes up to
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import (
-    RuleBasedStateMachine,
-    initialize,
-    invariant,
-    rule,
-)
 
-from repro.coteries import CoterieError, MajorityCoterie, WeightedVotingCoterie
+from repro.coteries import MajorityCoterie, composite_rule
 from repro.coteries.base import SetRecomputeEvaluator
 from repro.coteries.grid import GridCoterie
+from repro.lint.coterie_check import COTERIE_FAMILIES
 
 from tests.coteries.test_coterie_contract import KINDS, build, names
 
@@ -131,167 +127,63 @@ class TestSetRecomputeFallback:
             assert_agree(evaluator, coterie, mask, coterie.nodes)
 
 
-class TestRebindEpoch:
-    """In-place epoch rebinding equals compiling the rule from scratch."""
+#: every registered family, the grid's other column cover and E17's
+#: composite
+RANK_RULES = {
+    **{family: rule for family, (rule, _sizes) in COTERIE_FAMILIES.items()},
+    "grid-full": lambda nodes: GridCoterie(nodes, column_cover="full"),
+    "majority^2": composite_rule(MajorityCoterie, MajorityCoterie,
+                                 n_groups=3),
+}
 
-    @pytest.mark.parametrize("cover", ["physical", "full"])
+
+class TestEpochByRank:
+    """What the dynamic estimator's one epoch-change path rests on: a
+    coterie rule is a function of the *ordered* epoch list, so
+    ``rule(members)`` decides a subset S exactly as
+    ``rule(nodes[:k]).compile()`` decides the ranks of S, where k is
+    the member count and a member's rank is its position among the
+    members in universe order."""
+
+    @pytest.mark.parametrize("family", sorted(RANK_RULES))
     @given(data=st.data())
-    @settings(max_examples=25, deadline=None)
-    def test_grid_rebind_matches_fresh_compile(self, cover, data):
-        n = data.draw(st.integers(min_value=1, max_value=60))
+    @settings(max_examples=20, deadline=None)
+    def test_rule_of_members_is_rule_of_a_prefix_by_rank(self, family,
+                                                         data):
+        rule = RANK_RULES[family]
+        n = data.draw(st.integers(min_value=1, max_value=40))
         universe = names(n)
-        rule = lambda nodes: GridCoterie(nodes, column_cover=cover)
-        evaluator = rule(universe).compile(universe)
-        assert evaluator.supports_rebind
-        epoch_mask = data.draw(st.integers(min_value=1,
-                                           max_value=(1 << n) - 1))
-        evaluator.rebind_epoch(epoch_mask)
-        epoch = [name for i, name in enumerate(universe)
-                 if epoch_mask >> i & 1]
-        reference = rule(epoch)
-        fresh = reference.compile(universe)
-        # post-rebind state: exactly the epoch members up
-        assert evaluator.mask == epoch_mask
-        assert evaluator.v_mask == epoch_mask
-        assert evaluator.is_write_quorum() and evaluator.is_read_quorum()
-        for _ in range(5):
-            mask = data.draw(st.integers(min_value=0,
-                                         max_value=(1 << n) - 1))
-            assert_agree(evaluator, reference, mask, universe)
-            assert (evaluator.is_write_quorum(mask)
-                    == fresh.is_write_quorum(mask))
+        epoch = data.draw(st.integers(min_value=1, max_value=(1 << n) - 1))
+        ordered = [name for i, name in enumerate(universe) if epoch >> i & 1]
+        k = len(ordered)
+        reference = rule(ordered)
+        evaluator = rule(universe[:k]).compile()
+        rank = {name: r for r, name in enumerate(ordered)}
 
-    @given(data=st.data())
-    @settings(max_examples=25, deadline=None)
-    def test_majority_rebind_matches_fresh_compile(self, data):
-        n = data.draw(st.integers(min_value=1, max_value=60))
-        universe = names(n)
-        evaluator = MajorityCoterie(universe).compile(universe)
-        assert evaluator.supports_rebind
-        epoch_mask = data.draw(st.integers(min_value=1,
-                                           max_value=(1 << n) - 1))
-        evaluator.rebind_epoch(epoch_mask)
-        epoch = [name for i, name in enumerate(universe)
-                 if epoch_mask >> i & 1]
-        reference = MajorityCoterie(epoch)
-        for _ in range(5):
-            mask = data.draw(st.integers(min_value=0,
-                                         max_value=(1 << n) - 1))
-            assert_agree(evaluator, reference, mask, universe)
+        def ranks(subset):
+            return sum(1 << rank[name] for name in subset if name in rank)
 
-    def test_rebind_then_incremental_walk(self):
-        universe = names(20)
-        evaluator = GridCoterie(universe).compile(universe)
-        evaluator.rebind_epoch(0b1111_0110_1011_0110_1011)
-        epoch = [name for i, name in enumerate(universe)
-                 if 0b1111_0110_1011_0110_1011 >> i & 1]
-        reference = GridCoterie(epoch)
-        mask = evaluator.mask
-        import random
-        rng = random.Random(4)
-        for _ in range(200):
-            i = rng.randrange(20)
-            if mask >> i & 1:
-                evaluator.node_down(i)
-                mask &= ~(1 << i)
+        evaluator.reset_full()
+        assert evaluator.is_read_quorum() and evaluator.is_write_quorum()
+        for _ in range(4):
+            live = mask_names(universe, data.draw(
+                st.integers(min_value=0, max_value=(1 << n) - 1)))
+            assert (evaluator.is_read_quorum(ranks(live))
+                    == reference.is_read_quorum(live))
+            assert (evaluator.is_write_quorum(ranks(live))
+                    == reference.is_write_quorum(live))
+        # the estimator's use: from all up, flip members by rank
+        evaluator.reset_full()
+        live = set(ordered)
+        for name in data.draw(st.lists(st.sampled_from(ordered),
+                                       max_size=12)):
+            if name in live:
+                evaluator.node_down(rank[name])
+                live.discard(name)
             else:
-                evaluator.node_up(i)
-                mask |= 1 << i
-            live = mask_names(universe, mask)
+                evaluator.node_up(rank[name])
+                live.add(name)
+            assert evaluator.is_read_quorum() == reference.is_read_quorum(live)
             assert (evaluator.is_write_quorum()
                     == reference.is_write_quorum(live))
-            assert (evaluator.is_read_quorum()
-                    == reference.is_read_quorum(live))
 
-    def test_custom_thresholds_refuse_rebind(self):
-        coterie = WeightedVotingCoterie(names(5), read_votes=5,
-                                        write_votes=5)
-        evaluator = coterie.compile()
-        assert not evaluator.supports_rebind
-        with pytest.raises(CoterieError):
-            evaluator.rebind_epoch(0b111)
-
-    def test_weighted_votes_refuse_rebind(self):
-        weights = {name: 1 + (i % 3) for i, name in enumerate(names(6))}
-        coterie = WeightedVotingCoterie(names(6), weights=weights)
-        evaluator = coterie.compile()
-        assert not evaluator.supports_rebind
-
-    def test_unsupported_structures_refuse_rebind(self):
-        for kind in ("tree", "hierarchical", "rowa", "wall", "composite"):
-            evaluator = build(kind, 9).compile()
-            assert not evaluator.supports_rebind
-            with pytest.raises(CoterieError):
-                evaluator.rebind_epoch(0b1)
-
-
-class RebindMachine(RuleBasedStateMachine):
-    """A rebound evaluator keeps no per-node table: a grid member's
-    column is its rank in the epoch mask, a majority member's vote is
-    its bit.  So after *any* interleaving of rebinds, flips (of members
-    and non-members), resets and full resets, both verdicts must be
-    those of ``rule(members)`` compiled from scratch and of the set
-    predicates."""
-
-    @initialize(n=st.integers(min_value=1, max_value=64),
-                cover=st.sampled_from(["physical", "full"]))
-    def compile(self, n, cover):
-        self.universe = names(n)
-        self.rules = [lambda nodes: GridCoterie(nodes, column_cover=cover),
-                      MajorityCoterie]
-        self.evaluators = [make(self.universe).compile(self.universe)
-                           for make in self.rules]
-        self.full = self.members = (1 << n) - 1
-        self.up = 0
-        for evaluator in self.evaluators:
-            assert evaluator.supports_rebind
-
-    @rule(data=st.data())
-    def rebind_epoch(self, data):
-        mask = data.draw(st.integers(min_value=1, max_value=self.full))
-        for evaluator in self.evaluators:
-            evaluator.rebind_epoch(mask)
-        self.members = self.up = mask
-
-    @rule(data=st.data())
-    def flip(self, data):
-        i = data.draw(st.integers(min_value=0,
-                                  max_value=len(self.universe) - 1))
-        now_up = not self.up >> i & 1
-        for evaluator in self.evaluators:
-            (evaluator.node_up if now_up else evaluator.node_down)(i)
-        self.up ^= 1 << i
-
-    @rule(data=st.data())
-    def reset(self, data):
-        self.up = data.draw(st.integers(min_value=0, max_value=self.full))
-        for evaluator in self.evaluators:
-            evaluator.reset(self.up)
-
-    @rule()
-    def reset_full(self):
-        for evaluator in self.evaluators:
-            evaluator.reset_full()
-        self.up = self.members
-
-    @invariant()
-    def verdicts_are_those_of_a_fresh_compile(self):
-        members = [name for i, name in enumerate(self.universe)
-                   if self.members >> i & 1]
-        live = mask_names(self.universe, self.up)
-        for make, evaluator in zip(self.rules, self.evaluators):
-            reference = make(members)
-            fresh = reference.compile(self.universe)
-            assert evaluator.mask == self.up
-            assert evaluator.v_mask == self.members
-            assert (evaluator.is_read_quorum()
-                    == fresh.is_read_quorum(self.up)
-                    == reference.is_read_quorum(live))
-            assert (evaluator.is_write_quorum()
-                    == fresh.is_write_quorum(self.up)
-                    == reference.is_write_quorum(live))
-
-
-RebindMachine.TestCase.settings = settings(
-    max_examples=60, stateful_step_count=30, deadline=None)
-TestRebindMachine = RebindMachine.TestCase

@@ -73,6 +73,14 @@ class TestSimulateCommand:
                      "--workers", "2"]) == 0
         assert "workers = 2" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag,value", [("--lam", "-1"), ("--mu", "-4"),
+                                            ("--n", "0")])
+    def test_bad_site_model_refused(self, flag, value, capsys):
+        """Printed ``availability=1.000000`` for a negative rate."""
+        with pytest.raises(ValueError):
+            main(["simulate", "--horizon", "100", flag, value])
+        assert "availability=" not in capsys.readouterr().out
+
     def test_sampler_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit):
             main(["simulate", "--n", "6", "--horizon", "300",

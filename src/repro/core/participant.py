@@ -18,10 +18,10 @@ opaque hashable lock keys.  The single-item replica has one resource
 A host class mixes this in, calls :meth:`init_participant` at boot, and
 provides:
 
-``node`` / ``rpc`` / ``env`` / ``config`` / ``name``
+``node`` / ``rpc`` / ``env`` / ``config``
     The usual server plumbing (:class:`~repro.sim.node.Node`, the RPC
     layer, the simulation environment, a validated
-    :class:`~repro.core.config.ProtocolConfig`, the node name).
+    :class:`~repro.core.config.ProtocolConfig`).
 ``_resources_of(command) -> tuple``
     The lock resources a 2PC command touches, in canonical order
     (canonical ordering across all coordinators is the deadlock-freedom
@@ -36,8 +36,6 @@ provides:
 ``_snapshot_matches(expected) -> bool``
     Validate a prepare's expected-state snapshot (epoch installs re-check
     the state they polled; see paper Section 4.3).
-``_trace(kind, **detail)``
-    Trace-record helper.
 ``_after_release(resource)``
     Optional hook, called after a resource's lock is released on behalf
     of an operation -- the shard host garbage-collects idle pooled locks
@@ -105,6 +103,14 @@ class TwoPhaseParticipant:
 
     def _after_release(self, resource) -> None:
         pass
+
+    @property
+    def name(self) -> str:
+        """The owning node's name."""
+        return self.node.name
+
+    def _trace(self, kind: str, **detail) -> None:
+        self.node.trace.record(self.env.now, kind, self.name, **detail)
 
     # -- wiring ---------------------------------------------------------------
     def init_participant(self) -> None:

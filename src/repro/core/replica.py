@@ -8,7 +8,8 @@ that stores a copy of the data item.  It owns:
   for writes, stale-marking, epoch installation, and propagation targets);
 * the participant side of the presumed-abort two-phase commit, including
   crash recovery of prepared transactions and cooperative termination;
-* the propagation target role (``PropagateResponse`` in the appendix).
+* the propagation roles (``Propagate`` / ``PropagateResponse`` in the
+  appendix), through :mod:`repro.core.propagation`'s hooks.
 
 Deadlock handling (the paper defers to Bernstein et al.): a replica that
 cannot acquire its lock within ``config.lock_wait`` answers ``BUSY``; the
@@ -36,12 +37,11 @@ from repro.core.messages import (
     InstallEpoch,
     MarkStale,
     Prepare,
-    PropagationData,
-    PropagationOffer,
     ReplaceValue,
     StateResponse,
 )
 from repro.core.participant import TwoPhaseParticipant
+from repro.core.propagation import Propagation
 from repro.core.state import ReplicaState, initial_state
 from repro.obs.metrics import NULL_REGISTRY
 from repro.sim.node import Node
@@ -52,13 +52,14 @@ from repro.sim.rpc import RpcLayer
 REPLICA = "replica"
 
 
-class ReplicaServer(TwoPhaseParticipant):
+class ReplicaServer(TwoPhaseParticipant, Propagation):
     """Protocol endpoint for one replica of the data item.
 
     Lock custody and the presumed-abort 2PC participant come from
-    :class:`~repro.core.participant.TwoPhaseParticipant`; this class
-    supplies the replica state, the poll handlers, the command
-    semantics and the propagation target role.
+    :class:`~repro.core.participant.TwoPhaseParticipant`, every
+    propagation role from :class:`~repro.core.propagation.Propagation`;
+    this class supplies the replica state, the poll handlers and the
+    command semantics.
     """
 
     def __init__(self, node: Node, rpc: RpcLayer,
@@ -115,15 +116,9 @@ class ReplicaServer(TwoPhaseParticipant):
         serve("read-request", self._on_read_request)
         serve("epoch-check-request", self._on_epoch_check_request)
         serve("op-release", self._on_op_release)
-        serve("propagation-offer", self._on_propagation_offer)
-        serve("propagation-data", self._on_propagation_data)
+        self.init_propagation()
 
     # -- state access ----------------------------------------------------------
-    @property
-    def name(self) -> str:
-        """The owning node's name."""
-        return self.node.name
-
     @property
     def state(self) -> ReplicaState:
         """The durable replica state (stable storage)."""
@@ -176,9 +171,6 @@ class ReplicaServer(TwoPhaseParticipant):
         """The compiled ``QuorumEvaluator`` for one epoch list (cached
         next to the coterie; its tracked state is scratch space)."""
         return self._coteries.evaluator(epoch_list)
-
-    def _trace(self, kind: str, **detail: Any) -> None:
-        self.node.trace.record(self.env.now, kind, self.name, **detail)
 
     # -- participant hooks (locking and 2PC live in TwoPhaseParticipant) --------
     def _lock(self, resource):
@@ -337,65 +329,27 @@ class ReplicaServer(TwoPhaseParticipant):
                         version=command.new_version)
 
     def _post_commit(self, command) -> None:
-        from repro.core.propagation import propagate  # avoid import cycle
-        stale_nodes: tuple = ()
         if isinstance(command, ApplyWrite):
-            stale_nodes = command.stale_nodes
+            self._start_propagation(REPLICA, command.stale_nodes)
         elif isinstance(command, InstallEpoch) and self.name in command.good:
-            stale_nodes = command.stale
-        if stale_nodes and not self.state.stale:
-            self.node.spawn(propagate(self, stale_nodes), name="propagate")
+            self._start_propagation(REPLICA, command.stale)
 
-    # -- propagation: target side (PropagateResponse) ---------------------------
-    def _on_propagation_offer(self, src: str, offer: PropagationOffer):
-        def handle():
-            if self.node.volatile.get("recovering"):
-                return "already-recovering"
-            state = self.state
-            if not (state.stale and state.dversion <= offer.version):
-                return "i-am-current"
-            # the owner must be unique per offer: two sources whose offers
-            # land in the same tick both pass the recovering check above,
-            # and a shared owner name would make the second acquire a
-            # duplicate (an error).  With unique owners the second simply
-            # queues and re-checks staleness once it gets the lock.
-            owner = f"recover:{offer.source}@{self.env.now:.9f}"
-            ok = yield from self._acquire(REPLICA, owner)
-            if not ok:
-                return "already-recovering"
-            state = self.state  # re-check under the lock
-            if not (state.stale and state.dversion <= offer.version):
-                self.lock.release(owner)
-                return "i-am-current"
-            self.node.volatile["recovering"] = owner
-            self.node.timer(self.config.propagation_lease,
-                            self._permit_expired, owner)
-            return ("propagation-permitted", state.version)
-        return handle()
+    # -- propagation hooks (the protocol lives in core/propagation.py) ---------
+    def _read_item(self, resource) -> ReplicaState:
+        return self.state
 
-    def _permit_expired(self, owner: str) -> None:
-        if self.node.volatile.get("recovering") == owner:
-            self.node.volatile.pop("recovering", None)
-            self.lock.release(owner)
-            self._trace("propagation-lease-expired")
+    def _write_item(self, resource, state: ReplicaState) -> None:
+        self.state = state
 
-    def _on_propagation_data(self, src: str, data: PropagationData) -> str:
-        owner = self.node.volatile.get("recovering")
-        if not owner:
-            return "no-permit"
-        try:
-            self.state = self.state.propagated(
-                data, self.config.update_log_capacity)
-        except ValueError as refusal:
-            return str(refusal)
-        finally:
-            self.node.volatile.pop("recovering", None)
-            self.lock.release(owner)
-            self.node.cancel_timer(self._permit_expired, owner)
+    def _propagation_args(self, resource, payload):
+        return payload
+
+    def _propagation_item(self, args) -> tuple:
+        return REPLICA, args
+
+    def _caught_up(self, resource) -> None:
         if self._stale_since is not None and not self.state.stale:
             # stale -> healed propagation lag: episode opened at the first
             # stale-mark, closed by the catch-up that cleared the flag
             self._m_heal_lag.observe(self.env.now - self._stale_since)
             self._stale_since = None
-        self._trace("caught-up", version=self.state.version, source=src)
-        return "done"

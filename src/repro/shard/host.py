@@ -27,7 +27,10 @@ exactly that group epoch.  The rest is all about scale:
   holds locks proportional to *concurrent* operations only.
 
 Lock custody and the presumed-abort 2PC participant come from
-:class:`~repro.core.participant.TwoPhaseParticipant`; the compiled
+:class:`~repro.core.participant.TwoPhaseParticipant`, and every
+propagation role -- courier, permit target, re-seed -- from
+:class:`~repro.core.propagation.Propagation`, the same code the
+single-item replica runs over its one resource; the compiled
 coterie cache is shared across every shard the node hosts and bounded
 by ``config.coterie_cache_capacity``.
 """
@@ -35,17 +38,13 @@ by ``config.coterie_cache_capacity``.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.core.config import ProtocolConfig
 from repro.core.liveness import LivenessView
-from repro.core.messages import (
-    BUSY,
-    PropagationData,
-    PropagationOffer,
-    StateResponse,
-)
+from repro.core.messages import BUSY, StateResponse
 from repro.core.participant import TwoPhaseParticipant
+from repro.core.propagation import Propagation, propagate
 from repro.core.state import ItemState
 from repro.coteries.base import CoterieRule
 from repro.coteries.majority import MajorityCoterie
@@ -62,7 +61,7 @@ from repro.sim.rpc import RpcLayer
 DEFAULT_ITEM = ItemState()
 
 
-class ShardHost(TwoPhaseParticipant):
+class ShardHost(TwoPhaseParticipant, Propagation):
     """Replica endpoint for every shard placed on one node."""
 
     def __init__(self, node: Node, rpc: RpcLayer, shard_map: ShardMap,
@@ -101,17 +100,10 @@ class ShardHost(TwoPhaseParticipant):
         serve("sh-read-request", self._on_read_request)
         serve("sh-epoch-check-request", self._on_epoch_check_request)
         serve("sh-sweep-request", self._on_sweep_request)
-        serve("sh-reseed-request", self._on_reseed_request)
         serve("sh-op-release", self._on_op_release)
-        serve("sh-propagation-offer", self._on_propagation_offer)
-        serve("sh-propagation-data", self._on_propagation_data)
+        self.init_propagation()
 
     # -- state ----------------------------------------------------------------
-    @property
-    def name(self) -> str:
-        """The owning node's name."""
-        return self.node.name
-
     def epoch_of(self, shard: int) -> tuple[tuple[str, ...], int]:
         """This node's (elist, enumber) for one shard; shards that never
         transitioned stay at the map-derived epoch 0 without storage."""
@@ -155,9 +147,6 @@ class ShardHost(TwoPhaseParticipant):
     def evaluator_for(self, epoch_list):
         """The compiled ``QuorumEvaluator`` for one epoch list."""
         return self._coteries.evaluator(epoch_list)
-
-    def _trace(self, kind: str, **detail: Any) -> None:
-        self.node.trace.record(self.env.now, kind, self.name, **detail)
 
     def _response(self, shard: int, key: str,
                   include_value: bool = False) -> StateResponse:
@@ -257,25 +246,6 @@ class ShardHost(TwoPhaseParticipant):
                                  shard in stale_counts)
         return report
 
-    def _on_reseed_request(self, src: str, args) -> str:
-        """The sweep found still-stale keys this node can serve: restart
-        propagation toward the named targets (couriers that gave up on
-        an unreachable target leave it stale with nobody assigned; the
-        periodic sweep is the "re-mark it if it matters" hook)."""
-        shard, assignments = args
-        count = 0
-        for key in sorted(assignments):
-            state = self.item_state(shard, key)
-            if state.stale:
-                continue
-            count += 1
-            self.node.spawn(
-                self._propagate(shard, key, assignments[key]),
-                name=f"sh-reseed-{shard}/{key}")
-        if count:
-            self.metrics.counter("propagation_reseeded").inc(count)
-        return "ok"
-
     # -- 2PC command semantics (the participant protocol is the mixin's) ------
     def _snapshot_matches(self, expected: Optional[dict]) -> bool:
         if expected is None:
@@ -319,114 +289,30 @@ class ShardHost(TwoPhaseParticipant):
             raise TypeError(f"unknown command {command!r}")
 
     def _post_commit(self, command) -> None:
-        if isinstance(command, ShApplyWrite) and command.stale_nodes:
-            self.node.spawn(
-                self._propagate(command.shard, command.key,
-                                command.stale_nodes),
-                name=f"sh-prop-{command.shard}/{command.key}")
+        if isinstance(command, ShApplyWrite):
+            self._start_propagation((command.shard, command.key),
+                                    command.stale_nodes)
         elif isinstance(command, ShInstallEpoch):
             for key in sorted(command.keys):
                 good, stale, _mv = command.keys[key]
-                if self.name in good and stale:
-                    self.node.spawn(
-                        self._propagate(command.shard, key, stale),
-                        name=f"sh-prop-{command.shard}/{key}")
+                if self.name in good:
+                    self._start_propagation((command.shard, key), stale)
 
-    # -- propagation (per shard+key; the Section 4 protocol of core/) ---------
-    def _propagate(self, shard: int, key: str, stale_nodes: Iterable[str]):
-        from repro.sim.rpc import CALL_FAILED
-        pending = {name: 0 for name in stale_nodes if name != self.name}
-        while pending:
-            state = self.item_state(shard, key)
-            if state.stale or not self.node.up:
-                return
-            for target in sorted(pending):
-                offer = PropagationOffer(source=self.name,
-                                         version=state.version)
-                response = yield self.rpc.call(
-                    target, "sh-propagation-offer", (shard, key, offer),
-                    timeout=self.config.rpc_timeout)
-                if response is CALL_FAILED:
-                    pending[target] += 1
-                    if pending[target] >= 5:
-                        del pending[target]
-                    continue
-                if response == "i-am-current":
-                    del pending[target]
-                    continue
-                if (isinstance(response, tuple)
-                        and response[0] == "propagation-permitted"):
-                    done = yield from self._ship(shard, key, target,
-                                                 response[1])
-                    if done:
-                        del pending[target]
-            if pending:
-                yield self.env.timeout(self.config.propagation_retry)
+    # -- propagation hooks (the protocol lives in core/propagation.py) -------
+    rpc_prefix = "sh-"
 
-    def _ship(self, shard: int, key: str, target: str, target_version: int):
-        state = self.item_state(shard, key)
-        if state.stale:
-            return False
-        log = state.log_slice(target_version)
-        if log is not None:
-            data = PropagationData(source_version=state.version, log=log)
-        else:
-            data = PropagationData(source_version=state.version,
-                                   snapshot=dict(state.value))
-        result = yield self.rpc.call(target, "sh-propagation-data",
-                                     (shard, key, data),
-                                     timeout=self.config.rpc_timeout)
-        return result == "done"
+    #: The one courier, under the name ``bench/spans.py`` wraps.
+    _propagate = propagate
 
-    def _on_propagation_offer(self, src: str, args):
-        shard, key, offer = args
-        resource = (shard, key)
+    def _read_item(self, resource) -> ItemState:
+        return self.item_state(*resource)
 
-        def handle():
-            recovering = self.node.volatile.setdefault("sh_recovering", {})
-            if resource in recovering:
-                return "already-recovering"
-            state = self.item_state(shard, key)
-            if not (state.stale and state.dversion <= offer.version):
-                return "i-am-current"
-            # unique per offer: see ReplicaServer._on_propagation_offer
-            owner = f"sh-recover:{shard}/{key}:{offer.source}" \
-                    f"@{self.env.now:.9f}"
-            ok = yield from self._acquire(resource, owner)
-            if not ok:
-                return "already-recovering"
-            state = self.item_state(shard, key)
-            if not (state.stale and state.dversion <= offer.version):
-                self._release(resource, owner)
-                return "i-am-current"
-            recovering[resource] = owner
-            self.node.timer(self.config.propagation_lease,
-                            self._permit_expired, (resource, owner))
-            return ("propagation-permitted", state.version)
+    def _write_item(self, resource, state: ItemState) -> None:
+        self.set_item_state(*resource, state)
 
-        return handle()
+    def _propagation_args(self, resource, payload) -> tuple:
+        return (*resource, payload)
 
-    def _permit_expired(self, permit: tuple) -> None:
-        resource, owner = permit
-        recovering = self.node.volatile.setdefault("sh_recovering", {})
-        if recovering.get(resource) == owner:
-            recovering.pop(resource, None)
-            self._release(resource, owner)
-
-    def _on_propagation_data(self, src: str, args) -> str:
-        shard, key, data = args
-        resource = (shard, key)
-        recovering = self.node.volatile.setdefault("sh_recovering", {})
-        owner = recovering.get(resource)
-        if not owner:
-            return "no-permit"
-        try:
-            self.set_item_state(shard, key, self.item_state(
-                shard, key).propagated(data, self.config.update_log_capacity))
-        except ValueError as refusal:
-            return str(refusal)
-        finally:
-            recovering.pop(resource, None)
-            self._release(resource, owner)
-            self.node.cancel_timer(self._permit_expired, (resource, owner))
-        return "done"
+    def _propagation_item(self, args) -> tuple:
+        shard, key, payload = args
+        return (shard, key), payload

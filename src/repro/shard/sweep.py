@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 from repro.core.epoch import EpochChecker
 from repro.core.messages import EpochCheckResult
+from repro.core.propagation import reseed_requests
 from repro.core.twophase import gather, run_transaction
 from repro.shard.host import ShardHost
 from repro.shard.messages import ShInstallEpoch
@@ -230,8 +231,12 @@ def check_shard_epoch(host: ShardHost, shard: int, tag: str = "",
     new_epoch = tuple(sorted(new_members))
 
     if set(new_epoch) == set(newest["elist"]):
-        reseeded = _reseed_stale_keys(host, shard, new_epoch, states,
-                                      per_key)
+        plan = {}
+        for key, (good, _max_version) in per_key.items():
+            stale = [name for name in new_epoch if name in states
+                     and states[name]["keys"].get(key, (0, 0, False))[2]]
+            plan[(shard, key)] = (good, stale)
+        reseeded = reseed_requests(host, plan)
         if reseeded:
             yield gather(host.rpc, reseeded, timeout=config.rpc_timeout)
         return EpochCheckResult(True, changed=False,
@@ -269,25 +274,6 @@ def check_shard_epoch(host: ShardHost, shard: int, tag: str = "",
     return EpochCheckResult(True, changed=True, epoch_list=new_epoch,
                             epoch_number=newest["enumber"] + 1,
                             stale=all_stale)
-
-
-def _reseed_stale_keys(host, shard, members, states, per_key) -> dict:
-    """``sh-reseed-request`` batches for stale keys whose couriers gave
-    up: for each stale key, the lowest-named good holder is asked to
-    propagate toward the stale members it can heal."""
-    assignments: dict[str, dict[str, tuple]] = {}
-    for key in sorted(per_key):
-        good, _max_version = per_key[key]
-        stale_targets = tuple(sorted(
-            name for name in members
-            if name in states and states[name]["keys"].get(
-                key, (0, 0, False))[2]))
-        if not stale_targets or not good:
-            continue
-        source = sorted(good)[0]
-        assignments.setdefault(source, {})[key] = stale_targets
-    return {source: ("sh-reseed-request", (shard, assignments[source]))
-            for source in sorted(assignments)}
 
 
 class ShardSweeper(EpochChecker):

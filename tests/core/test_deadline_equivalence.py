@@ -1,12 +1,13 @@
 """Deadlines as node timers against deadlines as sleeping processes.
 
-The replica stacks arm four deadlines -- the lease on a poll-granted
+The replica stacks arm three deadlines -- the lease on a poll-granted
 lock, the wait for a 2PC decision, and the lease on a propagation permit
-(single-item and sharded) -- on ``Node.timer`` and withdraw them where
-the lock is released.  They used to be generator processes that slept
-the deadline out.  The *reference participant* below exists only in
-this file: under it ``Node.timer`` spawns the old generator body, kept
-here verbatim, and ``Node.cancel_timer`` withdraws nothing.  Small faulty runs execute
+(one body for both stacks since propagation is written once) -- on
+``Node.timer`` and withdraw them where the lock is released.  They used
+to be generator processes that slept the deadline out.  The *reference
+participant* below exists only in this file: under it ``Node.timer``
+spawns the old generator body, kept here, and ``Node.cancel_timer``
+withdraws nothing.  Small faulty runs execute
 under both and must write the same ordered trace-record log, draw every
 message delay from the one random stream at the same instant, and cost
 the production participant strictly fewer queue entries.
@@ -30,13 +31,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chaos.nemesis import Nemesis
-from repro.core.replica import ReplicaServer
 from repro.core.store import ReplicatedStore
 from repro.shard.store import ShardedStore
 from repro.sim.node import Node
 
 
-# -- the reference participant: the four bodies as they were ------------------
+# -- the reference participant: the three bodies as sleepers -----------------
 
 def _lease_watchdog(self, op_id):
     """Reclaim a poll-granted lock whose coordinator went silent."""
@@ -51,20 +51,13 @@ def _await_decision(self, txn_id):
     yield from self._terminate(txn_id)
 
 
-def _propagation_lease(self, owner):            # ReplicaServer's
+def _permit_lease(self, resource, owner):       # both stacks' one permit
     yield self.env.timeout(self.config.propagation_lease)
-    if self.node.volatile.get("recovering") == owner:
-        self.node.volatile.pop("recovering", None)
-        self.lock.release(owner)
-        self._trace("propagation-lease-expired")
-
-
-def _permit_lease(self, resource, owner):       # ShardHost's
-    yield self.env.timeout(self.config.propagation_lease)
-    recovering = self.node.volatile.setdefault("sh_recovering", {})
+    recovering = self.node.volatile.setdefault("recovering", {})
     if recovering.get(resource) == owner:
-        recovering.pop(resource, None)
+        del recovering[resource]
         self._release(resource, owner)
+        self._trace("propagation-lease-expired")
 
 
 def _spawn_a_sleeper(node, delay, call, arg=None):
@@ -75,10 +68,8 @@ def _spawn_a_sleeper(node, delay, call, arg=None):
         node.spawn(_lease_watchdog(server, arg), name=f"lease-{arg}")
     elif deadline == "_decision_overdue":
         node.spawn(_await_decision(server, arg), name=f"await-{arg}")
-    elif isinstance(server, ReplicaServer):
-        node.spawn(_propagation_lease(server, arg), name="prop-lease")
     else:
-        node.spawn(_permit_lease(server, *arg), name="sh-prop-lease")
+        node.spawn(_permit_lease(server, *arg), name="prop-lease")
 
 
 def _never_withdraw(node, call, arg=None):
@@ -223,7 +214,7 @@ class TestSameRunUnderBothParticipants:
 
 class TestEveryDeadlineComesDue:
     """The comparison means something only where a deadline fires: each
-    of the four does, at the same instant under both, in a run below."""
+    of the three does, at the same instant under both, in a run below."""
 
     def test_lock_lease(self):
         """The coordinator dies between its poll and its prepare and
@@ -274,5 +265,4 @@ class TestEveryDeadlineComesDue:
         assert new[:3] == old[:3] and new[3] < old[3]
         method = "sh-propagation-data" if sharded else "propagation-data"
         assert len(calls(new[0], method)) >= 2          # lost, then resent
-        if not sharded:
-            assert "propagation-lease-expired" in kinds(new[0])
+        assert "propagation-lease-expired" in kinds(new[0])

@@ -24,7 +24,11 @@ from repro.core.store import ReplicatedStore
 from repro.shard.store import ShardedStore
 
 SRC = Path(repro.__file__).resolve().parent
-STACK_FILES = ("core/participant.py", "core/replica.py", "shard/host.py")
+STACK_FILES = ("core/participant.py", "core/propagation.py", "core/replica.py",
+               "shard/host.py")
+#: Where the deadlines are armed: the 2PC participant and the one
+#: propagation target, which both replica stacks mix in.
+ARMING_FILES = ("core/participant.py", "core/propagation.py")
 OLD_BODIES = ("_lease_watchdog", "_await_decision", "_propagation_lease",
               "_permit_lease")
 
@@ -97,11 +101,12 @@ def test_the_structural_check_sees_the_old_shape():
 
 def test_every_stack_arms_its_deadlines_on_the_node():
     """Both replica servers (and with ``ReplicaServer`` the three
-    baselines) arm through ``Node.timer``, so a crash withdraws what
-    they armed -- and nothing in them sleeps on ``env.timer`` instead."""
+    baselines) arm through ``Node.timer``, in the mixins they share, so
+    a crash withdraws what they armed -- and nothing in them sleeps on
+    ``env.timer`` instead."""
     for relpath in STACK_FILES:
         source = (SRC / relpath).read_text()
-        assert "self.node.timer(" in source
+        assert ("self.node.timer(" in source) == (relpath in ARMING_FILES)
         assert "env.timer(" not in source
 
 

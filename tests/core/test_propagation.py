@@ -147,7 +147,7 @@ class TestHealing:
         assert target.lock.locked
         store.advance(store.config.propagation_lease + 1)
         assert not target.lock.locked   # lease reclaimed the lock
-        assert target.node.volatile.get("recovering") is None
+        assert not target.node.volatile.get("recovering")   # no permit
 
     def test_data_without_permit_rejected(self):
         store = ReplicatedStore.create(4, seed=7)

@@ -19,7 +19,6 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from repro.coteries.base import Coterie
-from repro.coteries.grid import GridShape, define_grid
 
 
 def _column_heights(m: int, n: int, b: int) -> list[int]:
@@ -171,11 +170,6 @@ def availability_by_enumeration(coterie: Coterie, p: float,
             if predicate(frozenset(up)):
                 total += p ** size * q ** (len(nodes) - size)
     return total
-
-
-def grid_shape_for(n_nodes: int) -> GridShape:
-    """Convenience re-export: the dynamic rule's shape for N nodes."""
-    return define_grid(n_nodes)
 
 
 def _check_p(p: float) -> None:

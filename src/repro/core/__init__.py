@@ -17,8 +17,8 @@ Modules
     The one presumed-abort 2PC participant (lock custody, prepare, vote,
     decision, termination, recovery) that every replica stack mixes in.
 ``replica``
-    The replica server: RPC handlers for write/read/epoch-check requests,
-    the 2PC command semantics, propagation source and target.
+    The replica server: RPC handlers for write/read/epoch-check requests
+    and the 2PC command semantics.
 ``twophase``
     Presumed-abort two-phase commit (coordinator side + rebroadcast).
 ``coordinator``
@@ -26,7 +26,8 @@ Modules
     ``HeavyProcedure`` and the analogous read).
 ``propagation``
     Asynchronous update propagation (the appendix's ``Propagate`` /
-    ``PropagateResponse``).
+    ``PropagateResponse``): courier, permit target and re-seed, mixed
+    into both replica stacks.
 ``epoch``
     Epoch checking (the appendix's ``CheckEpoch``) plus the bully election
     of the checking initiator.

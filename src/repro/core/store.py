@@ -178,9 +178,11 @@ class ReplicatedStore:
         """Run one epoch-checking operation (with a few retries when the
         install transaction aborts because a concurrent write or
         propagation changed a validated state -- the periodic checker would
-        simply try again next round)."""
+        simply try again next round).  None, like :meth:`write`'s result,
+        when the checking node crashed under the check."""
         result = self.join(self.start_epoch_check(via))[0]
-        while not result.ok and result.reason == "install-aborted" and retries:
+        while result is not None and not result.ok \
+                and result.reason == "install-aborted" and retries:
             retries -= 1
             self.advance(2 * self.config.rpc_timeout)
             result = self.join(self.start_epoch_check(via))[0]

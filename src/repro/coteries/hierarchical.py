@@ -89,15 +89,6 @@ class HierarchicalCoterie(Coterie):
         self.read_thresholds = read_thresholds
 
     # -- hierarchy geometry ---------------------------------------------------
-    def _group(self, level: int, offset: int) -> range:
-        """Node index range of the group at (level, offset).
-
-        Level 0 is the root (everything); a group at level i has
-        ``prod(arities[i:])`` members.
-        """
-        size = math.prod(self.arities[level:]) if level < len(self.arities) else 1
-        return range(offset * size, (offset + 1) * size)
-
     def group_size(self, level: int) -> int:
         """Number of physical nodes in one group at the given level."""
         return math.prod(self.arities[level:]) if level < len(self.arities) else 1

@@ -40,10 +40,6 @@ class TreeCoterie(Coterie):
         return [c for c in range(first, first + self.branching)
                 if c < self.n_nodes]
 
-    def is_leaf(self, index: int) -> bool:
-        """True iff the given tree node has no children."""
-        return not self.children(index)
-
     def depth(self) -> int:
         """Number of levels in the tree."""
         levels, count = 0, 0

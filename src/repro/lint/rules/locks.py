@@ -13,8 +13,8 @@ lock acquisitions are still outstanding along every path:
   failure branch *unheld*;
 * **discharge** -- ``X.release``/``X.cancel``, a ``*release*`` helper
   call, or *custody registration*: storing the lock into the op-lock
-  table (``self._op_locks[op] = ...``) or the recovering slot
-  (``volatile["recovering"] = owner``) hands ownership to the lease
+  table (``self._op_locks[op] = ...``) or the permit table
+  (``self._recovering[resource] = owner``) hands ownership to the lease
   timer / propagation machinery, which is the protocol's sanctioned
   way to hold a lock past the handler;
 * a ``try`` whose ``finally`` discharges shields every return inside
@@ -93,14 +93,8 @@ def _is_custody_target(target: ast.AST) -> bool:
     container = target.value
     name = (container.attr if isinstance(container, ast.Attribute)
             else container.id if isinstance(container, ast.Name) else "")
-    if "op_locks" in name or "recovering" in name:
-        return True   # op-lock table / propagation-permit registry
-    if name == "volatile":
-        key = target.slice
-        return (isinstance(key, ast.Constant)
-                and isinstance(key.value, str)
-                and "recovering" in key.value)
-    return False
+    # op-lock table / propagation-permit table
+    return "op_locks" in name or "recovering" in name
 
 
 class _FnState:
@@ -308,5 +302,5 @@ class LockDisciplineRule(Rule):
             relpath, node,
             f"{how} while `{locks}` may still be held: release it, "
             f"shield it with try/finally, or register custody "
-            f"(op-lock table / recovering slot); stranded locks stall "
+            f"(op-lock table / permit table); stranded locks stall "
             f"writers until the lease expires")

@@ -106,9 +106,10 @@ class ShardRouter(Coordinator):
         """The guessed epoch's members plus the map's current placement
         -- suspects included, unlike the coordinator's.  Measured, not an
         oversight: in the crash-free contended benchmark every suspicion
-        is false (a propagation offer that outwaited ``rpc_timeout`` at
-        a busy lock, ROADMAP item 2(b)), and excluding those nodes costs up
-        to 8 % of simulated p99 and sends more messages per op."""
+        was false (a propagation offer that outwaited ``rpc_timeout`` at
+        a busy lock, since given ``lock_wait`` too), and excluding those
+        nodes cost up to 8 % of simulated p99 and more messages per op;
+        ROADMAP item 2(d) re-measures it."""
         return sorted(set(coterie.nodes) | set(self.map.replicas(item[0])))
 
     def _write_command(self, item, node: str, current: bool, updates: dict,

@@ -411,10 +411,6 @@ class Lock:
         """Current lock owners."""
         return tuple(self._holders)
 
-    def held_by(self, owner: Any) -> bool:
-        """True iff *owner* currently holds the lock."""
-        return owner in self._holders
-
     def acquire(self, owner: Any, shared: bool = False) -> Event:
         """Request the lock; the returned event fires when granted."""
         if owner in self._holders:

@@ -193,11 +193,6 @@ class Network:
         """All node names, sorted."""
         return sorted(self._endpoints)
 
-    def node_is_up(self, name: NodeName) -> bool:
-        """True iff the named endpoint is registered and up."""
-        predicate = self._is_up.get(name)
-        return bool(predicate and predicate())
-
     # -- directed link cuts ----------------------------------------------------
     def cut_link(self, src: NodeName, dst: NodeName,
                  both_ways: bool = False) -> None:
